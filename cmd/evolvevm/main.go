@@ -94,8 +94,16 @@ func main() {
 	flag.Var(globals, "g", "global assignment name=value for -asm (repeatable)")
 	flag.Parse()
 
+	dumpSet := false
+	flag.Visit(func(f *flag.Flag) { dumpSet = dumpSet || f.Name == "dump" })
+	if dumpSet && (*dump < jit.MinLevel || *dump > jit.MaxLevel) {
+		fmt.Fprintf(os.Stderr, "evolvevm: -dump %d: level must be in %d..%d\n", *dump, jit.MinLevel, jit.MaxLevel)
+		flag.Usage()
+		os.Exit(2)
+	}
+
 	if *asmPath != "" {
-		if *dump >= -1 {
+		if dumpSet {
 			dumpAsm(*asmPath, *dump)
 			return
 		}

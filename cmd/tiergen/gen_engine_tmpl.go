@@ -29,10 +29,12 @@ func (e *Engine) Run() (bytecode.Value, error) {
 	sc.trapFn = -1
 	e.rootLocals, e.rootStack = nil, nil
 	defer func() {
-		// Hand the (possibly grown) arenas back. The frame stack and the
-		// trace side channels hold *Code pointers; clear them so the pool
-		// pins no compiled code, and unpublish the GC roots so the engine
-		// no longer aliases pooled memory.
+		// Publish the run's trace-tier event counts, whichever way Run
+		// is leaving. Hand the (possibly grown) arenas back. The frame
+		// stack and the trace side channels hold *Code pointers; clear
+		// them so the pool pins no compiled code, and unpublish the GC
+		// roots so the engine no longer aliases pooled memory.
+		sc.tc.flush()
 		sc.locals, sc.stack = locals[:0], stack[:0]
 		sc.frames = frames[:cap(frames)]
 		clear(sc.frames)
@@ -107,20 +109,22 @@ func (e *Engine) Run() (bytecode.Value, error) {
 
 			// Fastest path: the register-converted trace tier. A hot loop
 			// head whose whole next iteration fits the sample window runs
-			// as a register program — locals live in a register file, the
-			// operand stack is untouched, and one batched debit covers the
-			// iteration. Mid-iteration pcs with an OSR entry point enter
-			// the same way and run the iteration's remainder (on-stack
-			// replacement; any interpreter stack values stay untouched
-			// beneath the trace, which is entry-stack-neutral by
-			// construction). Side exits and traps roll back the unexecuted
-			// suffix and land on exactly the accounted loop's state; exits
-			// inside an inlined callee materialize a real callee frame.
+			// as a register program over the frame's own locals (the
+			// register window starts at lb; temporaries extend it into the
+			// arena's spare capacity), the operand stack is untouched, and
+			// one batched debit covers the iteration. Mid-iteration pcs
+			// with an OSR entry point enter the same way and run the
+			// iteration's remainder (on-stack replacement; any interpreter
+			// stack values stay untouched beneath the trace, which is
+			// entry-stack-neutral by construction). Side exits and traps
+			// roll back the unexecuted suffix and land on exactly the
+			// accounted loop's state; exits inside an inlined callee
+			// materialize a real callee frame.
 			if tp != nil {
 				run := (*trace)(nil)
 				if tr := tp.tr[pc]; tr != nil {
 					if e.Cycles+tr.cost < e.nextSample &&
-						(e.EagerRegTier || tr.entries.Add(1) >= traceHotEntries) {
+						(e.EagerRegTier || tr.hot()) {
 						run = tr
 					}
 				} else if !e.DisableOSR {
@@ -130,10 +134,18 @@ func (e *Engine) Run() (bytecode.Value, error) {
 					}
 				}
 				if run != nil {
+					// Grow the arena to hold the whole register window. The
+					// pooled arena keeps its capacity, so this is amortized
+					// to nothing; growing moves only the live locals.
+					top := lb + int(run.nregs)
+					if top > cap(locals) {
+						locals = slices.Grow(locals, top-len(locals))
+					}
+					regs := locals[lb:top]
 					var npc int
 					var tpc int32
 					var msg string
-					stack, npc, tpc, msg = e.runTrace(run, sc, len(frames), locals, lb, stack, workP, cycP)
+					stack, npc, tpc, msg = e.runTrace(run, sc, len(frames), regs, stack, workP, cycP)
 					if msg != "" {
 						if fn := sc.trapFn; fn >= 0 {
 							sc.trapFn = -1
@@ -145,27 +157,28 @@ func (e *Engine) Run() (bytecode.Value, error) {
 					}
 					if sc.deopt.active {
 						// Materialize the inlined callee as a real frame:
-						// locals from its pinned register block (entry
-						// deopt zero-fills past the arguments), operand
-						// stack rematerialized above its frame base. The
+						// operand stack rematerialized above its frame
+						// base, locals from its pinned register block
+						// (entry deopt zero-fills past the arguments). The
+						// stack goes first: the block moves down to the new
+						// frame's base, over registers cpush may read. The
 						// caller resumes after the CALL when the callee
 						// returns. fr dangles once frames grows — set its
 						// resume pc first.
 						d := sc.deopt
 						sc.deopt = deoptState{}
 						fr.pc = npc
-						nf := frame{code: d.code, pc: int(d.pc), localsBase: len(locals)}
+						nf := frame{code: d.code, pc: int(d.pc), localsBase: len(locals), spBase: len(stack)}
+						for _, p := range d.cpush {
+							stack = rpushVal(stack, run, regs, p)
+						}
 						if d.entry {
-							locals = append(locals, sc.regs[d.lbase:d.lbase+d.nargs]...)
+							locals = append(locals, regs[d.lbase:d.lbase+d.nargs]...)
 							for i := d.nargs; i < d.nloc; i++ {
 								locals = append(locals, bytecode.Value{})
 							}
 						} else {
-							locals = append(locals, sc.regs[d.lbase:d.lbase+d.nloc]...)
-						}
-						nf.spBase = len(stack)
-						for _, p := range d.cpush {
-							stack = rpushVal(stack, d.tr, sc.regs, p)
+							locals = append(locals, regs[d.lbase:d.lbase+d.nloc]...)
 						}
 						frames = append(frames, nf)
 						break body // switch to the reconstructed callee frame

@@ -136,7 +136,7 @@ func interpFile(body string) string {
 	b.WriteString(header)
 	b.WriteString("package interp\n\n")
 	var imps []string
-	for _, std := range []string{"fmt", "math", "sync"} {
+	for _, std := range []string{"fmt", "math", "slices", "sync"} {
 		if strings.Contains(body, std+".") {
 			imps = append(imps, "\""+std+"\"")
 		}

@@ -20,11 +20,11 @@ var testCtx = context.Background()
 func TestExperimentsDeterministic(t *testing.T) {
 	opts := harness.Options{Seed: 4, Quick: true,
 		Benchmarks: []string{"compress", "mtrt"}}
-	a, err := harness.Table1(testCtx, io.Discard,opts)
+	a, err := harness.Table1(testCtx, io.Discard, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := harness.Table1(testCtx, io.Discard,opts)
+	b, err := harness.Table1(testCtx, io.Discard, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 // seeds draw different corpora, so results must actually move.
 func TestSeedsChangeOutcomes(t *testing.T) {
 	rows := func(seed int64) []harness.Table1Row {
-		r, err := harness.Table1(testCtx, io.Discard,harness.Options{
+		r, err := harness.Table1(testCtx, io.Discard, harness.Options{
 			Seed: seed, Quick: true, Benchmarks: []string{"compress"}})
 		if err != nil {
 			t.Fatal(err)

@@ -69,8 +69,8 @@ func TestSubmitDedupInFlight(t *testing.T) {
 	}
 
 	p.Submit(job(a, interp.CompileClosure, true, 2))
-	p.Submit(job(a, interp.CompileClosure, true, 3)) // same code again
-	p.Submit(job(b, interp.CompileClosure, true, 4)) // distinct code, same fingerprint
+	p.Submit(job(a, interp.CompileClosure, true, 3))  // same code again
+	p.Submit(job(b, interp.CompileClosure, true, 4))  // distinct code, same fingerprint
 	p.Submit(job(a, interp.CompileClosure, false, 2)) // different mode: not a dup
 	p.Submit(job(a, interp.CompileTrace, true, 2))    // different kind: not a dup
 

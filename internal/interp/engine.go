@@ -388,25 +388,26 @@ type frame struct {
 
 // runScratch is the pooled per-run working memory of the evaluator: the
 // locals arena, operand stack, frame stack, the closure-tier threading
-// state, and the trace-tier register file. Engines are created (or reset)
-// per run by the thousands during experiments; recycling the arenas makes
-// the steady state allocation-free. Values carry no pointers, so retaining
-// their backing arrays in the pool pins nothing.
+// state, and the trace tier's side channels and event counts (its register
+// file is a window of the locals arena; trace.go). Engines are created (or
+// reset) per run by the thousands during experiments; recycling the arenas
+// makes the steady state allocation-free. Values carry no pointers, so
+// retaining their backing arrays in the pool pins nothing.
 type runScratch struct {
 	locals []bytecode.Value
 	stack  []bytecode.Value
 	frames []frame
 	st     cstate
-	regs   []bytecode.Value
 
 	// Trace-tier side channels (trace.go): curCodes holds the guarded
 	// current callee code per inlined call site of the running trace;
 	// deopt carries a callee-frame materialization request out of
 	// runTrace; trapFn re-attributes a trace trap to an inlined callee
-	// (-1: none).
+	// (-1: none); tc counts the run's trace events (stats.go).
 	curCodes []*Code
 	deopt    deoptState
 	trapFn   int32
+	tc       traceCounts
 }
 
 var scratchPool = sync.Pool{

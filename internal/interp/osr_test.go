@@ -447,13 +447,11 @@ func TestInlineHookChargeDeopts(t *testing.T) {
 	}
 }
 
-// TestInlineDepthTrap drives the call-heavy loop at the very edge of the
-// call-depth budget, so the inlined CALL's depth check must fire — with
-// the exact trap identity (callee name, pc 0, message) and clock position
-// (after the CALL charge, before the invocation count) the interpreter
-// produces.
-func TestInlineDepthTrap(t *testing.T) {
-	src := `
+// depthTrapSrc recurses to the edge of the call-depth budget and then
+// runs the call-heavy loop there, so the loop's CALL exceeds the depth.
+// leaf has never run when the loop starts, so its trace is refused
+// provisionally and the interpreter's CALL takes the trap.
+var depthTrapSrc = `
 global n
 func main() locals r
   const ` + fmt.Sprint(maxCallDepth-2) + `
@@ -496,15 +494,30 @@ func leaf(x)
   ret
 end
 `
-	p := mustProg(t, src)
-	g := map[string]bytecode.Value{"n": bytecode.Int(10)}
-	ref := snapRun(t, p, g, func(e *Engine) { e.DisableBatching = true })
-	if !strings.Contains(ref.trap, "call depth exceeds") {
-		t.Fatalf("reference did not depth-trap: trap=%q", ref.trap)
+
+// depthTrapWarmSrc is depthTrapSrc with leaf invoked once up front, so the
+// loop's trace inlines it and the depth check inside the register tier
+// takes the trap.
+var depthTrapWarmSrc = strings.Replace(depthTrapSrc,
+	"func main() locals r\n", "func main() locals r\n  const 0\n  call leaf 1\n  pop\n", 1)
+
+// TestInlineDepthTrap drives the call-heavy loop at the very edge of the
+// call-depth budget, so the inlined CALL's depth check must fire — with
+// the exact trap identity (callee name, pc 0, message) and clock position
+// (after the CALL charge, before the invocation count) the interpreter
+// produces.
+func TestInlineDepthTrap(t *testing.T) {
+	for _, src := range []string{depthTrapSrc, depthTrapWarmSrc} {
+		p := mustProg(t, src)
+		g := map[string]bytecode.Value{"n": bytecode.Int(10)}
+		ref := snapRun(t, p, g, func(e *Engine) { e.DisableBatching = true })
+		if !strings.Contains(ref.trap, "call depth exceeds") {
+			t.Fatalf("reference did not depth-trap: trap=%q", ref.trap)
+		}
+		ResetTraceStats()
+		got := snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true })
+		snapIdentical(t, "depth-trap", ref, got)
 	}
-	ResetTraceStats()
-	got := snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true })
-	snapIdentical(t, "depth-trap", ref, got)
 }
 
 // TestStressDeoptCounts proves ForcedDeopt actually exercises the

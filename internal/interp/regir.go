@@ -14,7 +14,7 @@ import (
 // immediates and constants stay symbolic until a consumer needs them in a
 // register (constant rematerialization), and pure stack shuffles (DUP,
 // SWAP, POP) compile to nothing. What remains is a short register
-// program over a file that mirrors the frame's locals in its low slots —
+// program over a file whose low slots are the frame's locals —
 // loop-carried values never touch the operand stack while the trace
 // runs.
 //
@@ -42,10 +42,11 @@ import (
 // every side exit or trap carries the summed charge of the unexecuted
 // instruction suffix — split per function once calls are inlined — so the
 // rollback lands on exactly the ledger state of the per-instruction
-// loop. Register writes are invisible between exits by construction:
-// locals are copied in at trace entry and written back at every exit, and
-// nothing observable (globals, output, heap) is ever reordered or elided
-// — only stack and local traffic is.
+// loop. Register writes to locals are invisible between exits by
+// construction: the register file's low slots are the frame's locals
+// themselves (trace.go), nothing outside the trace reads them while it
+// runs, and nothing observable (globals, output, heap) is ever reordered
+// or elided — only stack and local traffic is.
 
 // Trace conversion limits.
 const (
@@ -53,7 +54,8 @@ const (
 	// instructions included).
 	traceMaxInstrs = 256
 	// traceMaxRegs caps the register file: the function's locals plus the
-	// converter's temporaries plus pinned callee-local blocks.
+	// converter's temporaries plus pinned callee-local blocks (the window
+	// the engine reserves in the locals arena).
 	traceMaxRegs = 64
 	// inlineMaxInstrs caps one inlined callee body ("small" in the
 	// trace-inlining rule): the linearized path from entry to RET.
@@ -549,7 +551,7 @@ func (cv *rconv) constIdx(code *Code, idx int32) int32 {
 }
 
 // localReg maps a LOAD/STORE/IINC slot of the current context to its
-// register: the caller's locals mirror regs[0:nloc], an inlined callee's
+// register: the caller's locals are regs[0:nloc], an inlined callee's
 // live in its pinned block.
 func (cv *rconv) localReg(k int32) int32 {
 	if cv.curCall >= 0 {

@@ -5,12 +5,20 @@ import "sync/atomic"
 // This file exports the trace tier's build- and run-time counters: why
 // loops degrade off the register tier (per reason), how often traces are
 // entered at their head vs through an OSR entry point, and how often they
-// deoptimize back to the switch loop. The counters are process-global and
-// host-side only — they never feed back into any virtual observable — and
-// exist so a benchmark regression is attributable: a call-heavy shape that
-// stops inlining shows up as a guard-failure or degradation count, not
-// just a slower wall clock. Surfaced by `evolvevm serve` /v1/stats and
+// deoptimize back to the switch loop. The counters are host-side only —
+// they never feed back into any virtual observable — and exist so a
+// benchmark regression is attributable: a call-heavy shape that stops
+// inlining shows up as a guard-failure or degradation count, not just a
+// slower wall clock. Surfaced by `evolvevm serve` /v1/stats and
 // `expdriver -tracestats`.
+//
+// Build-time counts (built, degraded) go straight to the process-wide
+// totals; plan builds are rare. Run-time events are far too frequent for
+// shared atomics — every trace entry and side exit would bounce one cache
+// line between engines — so they are plain increments on the run's own
+// traceCounts, added into the totals once when Run returns (every path
+// out of Run: result, trap, cancellation, error). Totals are exact; a
+// run's events become visible when it ends.
 
 // Degradation reasons, in the order of the DegradeReasons names.
 const (
@@ -49,6 +57,42 @@ var traceStats struct {
 	inlineDeopts atomic.Int64
 }
 
+// traceCounts is one run's trace-tier event counts, kept in the pooled
+// run scratch so the hot path increments memory no other engine touches.
+type traceCounts struct {
+	headEntries  int64
+	osrEntries   int64
+	sideExits    int64
+	traps        int64
+	deopts       int64
+	guardFails   int64
+	inlinedCalls int64
+	inlineDeopts int64
+}
+
+// flush adds the run's counts into the process-wide totals and zeroes
+// them for the next run.
+func (c *traceCounts) flush() {
+	for _, f := range [...]struct {
+		dst *atomic.Int64
+		n   int64
+	}{
+		{&traceStats.headEntries, c.headEntries},
+		{&traceStats.osrEntries, c.osrEntries},
+		{&traceStats.sideExits, c.sideExits},
+		{&traceStats.traps, c.traps},
+		{&traceStats.deopts, c.deopts},
+		{&traceStats.guardFails, c.guardFails},
+		{&traceStats.inlinedCalls, c.inlinedCalls},
+		{&traceStats.inlineDeopts, c.inlineDeopts},
+	} {
+		if f.n != 0 {
+			f.dst.Add(f.n)
+		}
+	}
+	*c = traceCounts{}
+}
+
 // TraceStats is a point-in-time snapshot of the trace tier's counters.
 type TraceStats struct {
 	// Built counts loops successfully converted to register traces;
@@ -78,7 +122,8 @@ type TraceStats struct {
 	InlineDeopts int64 `json:"inline_deopts"`
 }
 
-// ReadTraceStats snapshots the process-global trace-tier counters.
+// ReadTraceStats snapshots the process-wide trace-tier totals. Runs still
+// executing contribute once they return.
 func ReadTraceStats() TraceStats {
 	st := TraceStats{
 		Built:        traceStats.built.Load(),
@@ -102,7 +147,7 @@ func ReadTraceStats() TraceStats {
 	return st
 }
 
-// ResetTraceStats zeroes the process-global trace-tier counters (tests).
+// ResetTraceStats zeroes the process-wide trace-tier totals (tests).
 func ResetTraceStats() {
 	traceStats.built.Store(0)
 	for i := range traceStats.degraded {

@@ -25,15 +25,14 @@ import (
 // pc — most often right after a side exit took the cold arm of a branch
 // — it enters the register tier there, runs the REST of the iteration as
 // a register program, and rejoins the head trace at the back edge
-// (tr.once). Entry state mapping is the same locals→register copy as a
-// head entry; no operand-stack mapping is needed because a partial trace
-// is built from an empty symbolic stack and refuses to pop below its
-// entry depth, so it can only exist at pcs where the remainder of the
-// iteration is stack-neutral — any values the interpreter left on the
-// stack stay untouched beneath it. Deoptimization from any side exit
-// reconstructs interpreter state exactly as head-trace exits do: suffix
-// charge rollback, register→locals writeback, symbolic-stack
-// rematerialization.
+// (tr.once). Entry state mapping is the identity, as for a head entry;
+// no operand-stack mapping is needed because a partial trace is built
+// from an empty symbolic stack and refuses to pop below its entry depth,
+// so it can only exist at pcs where the remainder of the iteration is
+// stack-neutral — any values the interpreter left on the stack stay
+// untouched beneath it. Deoptimization from any side exit reconstructs
+// interpreter state exactly as head-trace exits do: suffix charge
+// rollback and symbolic-stack rematerialization.
 //
 // CALL inlining. A loop whose body calls a small non-recursive function
 // no longer degrades: the callee's hot path is spliced into the
@@ -53,6 +52,16 @@ import (
 // a reconstructed callee frame at the branch target, caller frame
 // resuming after the CALL.
 //
+// The register window. A trace's register file is locals[lb:lb+nregs] of
+// the pooled locals arena: regs[0:nloc] are the running frame's locals,
+// so entry and exit map state by identity — nothing is copied and the
+// locals need no write-back — and the temporaries and pinned callee
+// blocks above them occupy the arena's spare capacity (the engine grows
+// the arena before entry). A materialized callee frame takes its locals
+// by moving the pinned block down to the new frame's base; the callee's
+// operand stack is rematerialized first, because the move overwrites
+// registers it may read.
+//
 // Bit identity follows the same two-part argument as the fused and
 // closure tiers (fuse.go, closure.go): an iteration (or iteration
 // remainder, for OSR) is entered only when its full charge fits inside
@@ -69,7 +78,9 @@ import (
 // the Code must be hot by sampler count (TraceHotSamples, like the
 // closure tier), and then each individual loop must prove itself by
 // back-edge arrivals (traceHotEntries) before its register program runs.
-// OSR traces inherit their parent head trace's arrival count.
+// OSR traces inherit their parent head trace's arrival count. The count
+// saturates at the gate, so a hot trace's counter is only ever read and its
+// cache line stays shared between engines running the same Code.
 // Engine.EagerRegTier short-circuits both gates for the equivalence
 // suites; Engine.EagerOSR only the OSR gate. Neither gate feeds back
 // into any virtual observable.
@@ -95,7 +106,7 @@ type trace struct {
 	xfns         []int32
 	xcost, xbase []int64
 
-	nloc   int32 // locals mirrored in regs[0:nloc]
+	nloc   int32 // the frame's locals, regs[0:nloc]
 	nregs  int32 // full register file size (locals + temps + pinned blocks)
 	consts []bytecode.Value
 	ins    []rins
@@ -111,8 +122,14 @@ type trace struct {
 	parent *trace
 
 	// entries counts hot-loop arrivals across every engine sharing the
-	// Code (host-side only; the gate for traceHotEntries).
+	// Code, saturating at traceHotEntries (host-side only; see hot).
 	entries atomic.Int64
+}
+
+// hot records one back-edge arrival and reports whether the trace has
+// reached traceHotEntries. Once it has, the counter is no longer written.
+func (t *trace) hot() bool {
+	return t.entries.Load() >= traceHotEntries || t.entries.Add(1) >= traceHotEntries
 }
 
 // tracePlan indexes traces by pc: tr[pc] is the head trace of a loop
@@ -175,7 +192,6 @@ type deoptState struct {
 	lbase  int32
 	nargs  int32
 	nloc   int32
-	tr     *trace
 	cpush  []rpush
 }
 
@@ -351,18 +367,17 @@ func rpushVal(stack []bytecode.Value, tr *trace, regs []bytecode.Value, p rpush)
 // per-instruction loop's. depth is the current frame-stack depth (the
 // inlined-call depth check).
 //
+// regs is the running frame's register window, locals[lb:lb+tr.nregs]
+// (see "The register window" above). The collector never sees the
+// temporaries: its roots end at the live frames' locals, and a trace
+// never allocates.
+//
 // Returns the (possibly grown) operand stack, the resume pc, and — for
 // traps only — the trap's successor pc and message (msg == "" means no
 // trap). Two further outcomes travel through sc: sc.deopt asks the
 // engine loop to materialize an inlined-callee frame, and sc.trapFn
-// re-attributes a trap to an inlined callee.
-func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecode.Value, lb int, stack []bytecode.Value, workP, cycP *int64) ([]bytecode.Value, int, int32, string) {
-	if cap(sc.regs) < int(tr.nregs) {
-		sc.regs = make([]bytecode.Value, tr.nregs)
-	}
-	regs := sc.regs[:tr.nregs]
-	nloc := int(tr.nloc)
-	copy(regs[:nloc], locals[lb:lb+nloc])
+// re-attributes a trap to an inlined callee. Events are counted in sc.tc.
+func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, regs, stack []bytecode.Value, workP, cycP *int64) ([]bytecode.Value, int, int32, string) {
 	if len(tr.calls) > 0 {
 		if cap(sc.curCodes) < len(tr.calls) {
 			sc.curCodes = make([]*Code, len(tr.calls))
@@ -370,9 +385,9 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecod
 		sc.curCodes = sc.curCodes[:len(tr.calls)]
 	}
 	if tr.once {
-		traceStats.osrEntries.Add(1)
+		sc.tc.osrEntries++
 	} else {
-		traceStats.headEntries.Add(1)
+		sc.tc.headEntries++
 	}
 
 	for {
@@ -422,7 +437,7 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecod
 			case rDivMod:
 				y := regs[in.b].I
 				if y == 0 {
-					return e.traceTrap(tr, sc, in.x, regs, locals, lb, stack, workP, cycP, regTrapMsg[in.sub])
+					return e.traceTrap(tr, sc, in.x, stack, workP, cycP, regTrapMsg[in.sub])
 				}
 				if in.sub == bytecode.IDIV {
 					regs[in.d] = bytecode.Int(regs[in.a].I / y)
@@ -439,7 +454,7 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecod
 					}
 					aerr = fmt.Errorf("index %d out of range [0,%d)", idx, len(arr))
 				}
-				return e.traceTrap(tr, sc, in.x, regs, locals, lb, stack, workP, cycP,
+				return e.traceTrap(tr, sc, in.x, stack, workP, cycP,
 					fmt.Sprintf("aload: %v", aerr))
 			case rAStore:
 				arr, aerr := e.Array(regs[in.a])
@@ -451,12 +466,12 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecod
 					}
 					aerr = fmt.Errorf("index %d out of range [0,%d)", idx, len(arr))
 				}
-				return e.traceTrap(tr, sc, in.x, regs, locals, lb, stack, workP, cycP,
+				return e.traceTrap(tr, sc, in.x, stack, workP, cycP,
 					fmt.Sprintf("astore: %v", aerr))
 			case rALen:
 				arr, aerr := e.Array(regs[in.a])
 				if aerr != nil {
-					return e.traceTrap(tr, sc, in.x, regs, locals, lb, stack, workP, cycP,
+					return e.traceTrap(tr, sc, in.x, stack, workP, cycP,
 						fmt.Sprintf("alen: %v", aerr))
 				}
 				regs[in.d] = bytecode.Int(int64(len(arr)))
@@ -464,23 +479,23 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecod
 				e.Output = append(e.Output, regs[in.a])
 			case rBrTrue:
 				if regs[in.a].IsTrue() {
-					return e.traceLeave(tr, sc, in.x, regs, locals, lb, stack, workP, cycP)
+					return e.traceLeave(tr, sc, in.x, regs, stack, workP, cycP)
 				}
 			case rBrFalse:
 				if !regs[in.a].IsTrue() {
-					return e.traceLeave(tr, sc, in.x, regs, locals, lb, stack, workP, cycP)
+					return e.traceLeave(tr, sc, in.x, regs, stack, workP, cycP)
 				}
 			case rBrCmp:
 				if intCmp(in.sub, regs[in.a].I, regs[in.b].I) == (in.d != 0) {
-					return e.traceLeave(tr, sc, in.x, regs, locals, lb, stack, workP, cycP)
+					return e.traceLeave(tr, sc, in.x, regs, stack, workP, cycP)
 				}
 			case rBrCmpI:
 				if intCmp(in.sub, regs[in.a].I, int64(in.b)) == (in.d != 0) {
-					return e.traceLeave(tr, sc, in.x, regs, locals, lb, stack, workP, cycP)
+					return e.traceLeave(tr, sc, in.x, regs, stack, workP, cycP)
 				}
 			case rBrFCmp:
 				if fltCmp(in.sub, regs[in.a].AsFloat(), regs[in.b].AsFloat()) == (in.d != 0) {
-					return e.traceLeave(tr, sc, in.x, regs, locals, lb, stack, workP, cycP)
+					return e.traceLeave(tr, sc, in.x, regs, stack, workP, cycP)
 				}
 			case rCall:
 				rc := &tr.calls[in.x]
@@ -492,8 +507,8 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecod
 				// current code.
 				cur := e.PeekCode(int(rc.fnIdx))
 				if cur != rc.code && (cur == nil || cur.Fingerprint() != rc.fp) {
-					traceStats.guardFails.Add(1)
-					return e.traceLeave(tr, sc, rc.exitX, regs, locals, lb, stack, workP, cycP)
+					sc.tc.guardFails++
+					return e.traceLeave(tr, sc, rc.exitX, regs, stack, workP, cycP)
 				}
 				sc.curCodes[in.x] = cur
 				// Depth check, before the invocation is recorded — the
@@ -502,9 +517,8 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecod
 				// the accounted loop reports this trap (at callee pc 0).
 				if depth >= maxCallDepth {
 					e.rollbackPost(tr, rc, workP, cycP)
-					copy(locals[lb:lb+nloc], regs[:nloc])
 					sc.trapFn = rc.fnIdx
-					traceStats.traps.Add(1)
+					sc.tc.traps++
 					return stack, 0, 0, fmt.Sprintf("call depth exceeds %d", maxCallDepth)
 				}
 				e.Invocations[rc.fnIdx]++
@@ -521,14 +535,13 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecod
 					e.rollbackPost(tr, rc, workP, cycP)
 					e.OnInvoke(int(rc.fnIdx), e.Invocations[rc.fnIdx])
 					if e.Cycles+int64(rc.ptot) >= e.nextSample {
-						traceStats.inlineDeopts.Add(1)
-						copy(locals[lb:lb+nloc], regs[:nloc])
+						sc.tc.inlineDeopts++
 						for _, p := range rc.push {
 							stack = rpushVal(stack, tr, regs, p)
 						}
 						sc.deopt = deoptState{
 							active: true, entry: true, code: sc.curCodes[in.x],
-							pc: 0, lbase: rc.lbase, nargs: rc.nargs, nloc: rc.nloc, tr: tr,
+							pc: 0, lbase: rc.lbase, nargs: rc.nargs, nloc: rc.nloc,
 						}
 						return stack, int(rc.callPC) + 1, 0, ""
 					}
@@ -540,7 +553,7 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecod
 				for j := rc.lbase + rc.nargs; j < rc.lbase+rc.nloc; j++ {
 					regs[j] = bytecode.Value{}
 				}
-				traceStats.inlinedCalls.Add(1)
+				sc.tc.inlinedCalls++
 			}
 		}
 
@@ -552,13 +565,11 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, locals []bytecod
 		// accounted path exactly as the other tiers do.
 		if tr.once || e.StressDeopt {
 			if e.StressDeopt && !tr.once {
-				traceStats.deopts.Add(1)
+				sc.tc.deopts++
 			}
-			copy(locals[lb:lb+nloc], regs[:nloc])
 			return stack, int(tr.head), 0, ""
 		}
 		if e.Cycles+tr.cost >= e.nextSample {
-			copy(locals[lb:lb+nloc], regs[:nloc])
 			return stack, int(tr.head), 0, ""
 		}
 	}
@@ -592,13 +603,12 @@ func (e *Engine) chargePost(tr *trace, rc *rcall, workP, cycP *int64) {
 }
 
 // traceLeave takes side exit x: roll back the unexecuted suffix (per
-// charged function), write the register file back to the locals, and
-// rematerialize the symbolic operand stack, resuming at the exit's
-// bytecode pc. A callee exit additionally deposits a frame
+// charged function) and rematerialize the symbolic operand stack,
+// resuming at the exit's bytecode pc. A callee exit additionally deposits a frame
 // materialization request in sc.deopt: the engine loop reconstructs the
 // inlined callee as a real frame resuming at the branch target, with the
 // caller set to resume after the CALL.
-func (e *Engine) traceLeave(tr *trace, sc *runScratch, x int32, regs, locals []bytecode.Value, lb int, stack []bytecode.Value, workP, cycP *int64) ([]bytecode.Value, int, int32, string) {
+func (e *Engine) traceLeave(tr *trace, sc *runScratch, x int32, regs, stack []bytecode.Value, workP, cycP *int64) ([]bytecode.Value, int, int32, string) {
 	ex := &tr.exits[x]
 	e.Cycles -= int64(ex.tot)
 	*workP -= int64(ex.remBase)
@@ -608,28 +618,27 @@ func (e *Engine) traceLeave(tr *trace, sc *runScratch, x int32, regs, locals []b
 		e.Work[fn] -= int64(sr.remBase)
 		e.FnCycles[fn] -= int64(sr.rem)
 	}
-	copy(locals[lb:lb+int(tr.nloc)], regs[:tr.nloc])
 	for _, p := range ex.push {
 		stack = rpushVal(stack, tr, regs, p)
 	}
-	traceStats.sideExits.Add(1)
+	sc.tc.sideExits++
 	if ex.callIdx >= 0 {
 		rc := &tr.calls[ex.callIdx]
 		sc.deopt = deoptState{
 			active: true, code: sc.curCodes[ex.callIdx],
 			pc: ex.cpc, lbase: rc.lbase, nargs: rc.nargs, nloc: rc.nloc,
-			tr: tr, cpush: ex.cpush,
+			cpush: ex.cpush,
 		}
 		return stack, int(rc.callPC) + 1, 0, ""
 	}
 	return stack, int(ex.pc), 0, ""
 }
 
-// traceTrap aborts the run at trap x: same suffix rollback and local
-// write-back as a side exit, then the trap surfaces at the successor pc
+// traceTrap aborts the run at trap x: same suffix rollback as a side
+// exit, then the trap surfaces at the successor pc
 // with the message the accounted loop would produce — re-attributed via
 // sc.trapFn when the trapping instruction was inlined from a callee.
-func (e *Engine) traceTrap(tr *trace, sc *runScratch, x int32, regs, locals []bytecode.Value, lb int, stack []bytecode.Value, workP, cycP *int64, msg string) ([]bytecode.Value, int, int32, string) {
+func (e *Engine) traceTrap(tr *trace, sc *runScratch, x int32, stack []bytecode.Value, workP, cycP *int64, msg string) ([]bytecode.Value, int, int32, string) {
 	t := &tr.traps[x]
 	e.Cycles -= int64(t.tot)
 	*workP -= int64(t.remBase)
@@ -639,10 +648,9 @@ func (e *Engine) traceTrap(tr *trace, sc *runScratch, x int32, regs, locals []by
 		e.Work[fn] -= int64(sr.remBase)
 		e.FnCycles[fn] -= int64(sr.rem)
 	}
-	copy(locals[lb:lb+int(tr.nloc)], regs[:tr.nloc])
 	if t.fn >= 0 {
 		sc.trapFn = t.fn
 	}
-	traceStats.traps.Add(1)
+	sc.tc.traps++
 	return stack, 0, t.tpc, msg
 }

@@ -83,7 +83,9 @@ type Config struct {
 	// numbers (default 32). Smaller epochs share learning faster but
 	// drain the pool more often.
 	EpochLength int
-	// Scenario selects the optimization controller (default Evolve).
+	// Scenario selects the optimization controller. The zero value is
+	// harness.ScenarioDefault, the reactive controller; set
+	// harness.ScenarioEvolve explicitly for cross-input learning.
 	Scenario harness.Scenario
 	// Seed keys every deterministic choice: input corpora and, through
 	// the trace, the workload itself.
