@@ -19,17 +19,30 @@ import (
 	"evolvevm/internal/traffic"
 )
 
-// profileFlags registers -mutexprofile/-blockprofile on the serving
-// subcommands. start (call after Parse) enables sampling; stop writes
-// the requested profiles on exit. Contention profiling is the acceptance
-// oracle for the sharded serving path: the mutex profile of a loaded
-// server must no longer show the old global cache and bookkeeping locks.
+// profileFlags registers -cpuprofile/-mutexprofile/-blockprofile on the
+// serving subcommands. start (call after Parse) starts the CPU profile
+// and enables contention sampling; stop writes the requested profiles on
+// exit. Contention profiling is the acceptance oracle for the sharded
+// serving path: the mutex profile of a loaded server must no longer show
+// the old global cache and bookkeeping locks.
 func profileFlags(fs *flag.FlagSet) (start, stop func()) {
 	var (
+		cpuprofile   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		mutexprofile = fs.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
 		blockprofile = fs.String("blockprofile", "", "write a goroutine-blocking profile to this file on exit")
+		cpuFile      *os.File
 	)
 	start = func() {
+		if *cpuprofile != "" {
+			f, err := os.Create(*cpuprofile)
+			if err != nil {
+				fatal(err)
+			}
+			if err := pprof.StartCPUProfile(f); err != nil {
+				fatal(err)
+			}
+			cpuFile = f
+		}
 		if *mutexprofile != "" {
 			// Fraction 1 samples every contention event — these runs are for
 			// finding serializing locks, not low-overhead monitoring.
@@ -53,10 +66,39 @@ func profileFlags(fs *flag.FlagSet) (start, stop func()) {
 		}
 	}
 	stop = func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				fatal(err)
+			}
+		}
 		write("mutex", *mutexprofile)
 		write("block", *blockprofile)
 	}
 	return start, stop
+}
+
+// Connection bounds of `evolvevm serve`. Request bodies are small JSON
+// documents, so a client that needs longer than these to send its
+// headers or its whole request, or that idles on a kept-alive
+// connection, only holds a connection open. There is deliberately no
+// write timeout: a response waits for its run, which the request's own
+// deadline bounds.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the HTTP server `evolvevm serve` listens with.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // serveScenario maps the -scenario flag shared by the serving
@@ -137,7 +179,7 @@ func runServe(args []string) {
 		fatal(err)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: s.Handler()}
+	hs := newHTTPServer(*addr, s.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Printf("serving on %s (%d workers, queue %d, epoch %d)\n",

@@ -1,0 +1,68 @@
+package main
+
+import (
+	"io"
+	"net"
+	"net/http"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+)
+
+// TestServeDisconnectsStalledHeaders: a client that opens a connection
+// and never finishes its request headers is disconnected once the
+// header bound passes, instead of holding the connection forever.
+func TestServeDisconnectsStalledHeaders(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer("", http.NotFoundHandler())
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("POST /v1/run HTTP/1.1\r\nHost: evolvevm\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	// Never send the blank line that ends the headers. The server must
+	// close the connection; the read deadline only stops a hung test.
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("connection still open after %v: %v", time.Since(start), err)
+	}
+	if d := time.Since(start); d > readHeaderTimeout+2*time.Second {
+		t.Errorf("disconnected after %v, bound is %v", d, readHeaderTimeout)
+	}
+}
+
+// TestLoadtestWritesProfiles: the shared profile flags give loadtest a
+// CPU profile alongside the contention profiles.
+func TestLoadtestWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	paths := map[string]string{}
+	args := []string{"loadtest", "-requests", "24", "-tenants", "2", "-benches", "compress",
+		"-corpus", "3", "-bench", "LoadTest"}
+	for _, kind := range []string{"cpu", "mutex", "block"} {
+		paths[kind] = filepath.Join(dir, kind+".pprof")
+		args = append(args, "-"+kind+"profile", paths[kind])
+	}
+	if code, out := runCLI(t, args...); code != 0 {
+		t.Fatalf("loadtest exit code %d:\n%s", code, out)
+	}
+	for kind, path := range paths {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Errorf("-%sprofile: %v", kind, err)
+		} else if fi.Size() == 0 {
+			t.Errorf("-%sprofile: %s is empty", kind, path)
+		}
+	}
+}

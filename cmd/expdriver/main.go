@@ -65,6 +65,14 @@ func run(args []string, w, werr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	var benchList []string
+	if *benches != "" {
+		benchList = strings.Split(*benches, ",")
+		if _, err := harness.LookupBenchmarks(benchList); err != nil {
+			fmt.Fprintf(werr, "expdriver: -bench: %v\n", err)
+			return 2
+		}
+	}
 
 	if *cpuprofile != "" || *memprofile != "" {
 		// Label runs and scheduler tasks so the profile attributes time by
@@ -146,9 +154,7 @@ func run(args []string, w, werr io.Writer) int {
 		Session:  sess,
 	}
 	opts.Substrate.AsyncCompile = *asynccompile
-	if *benches != "" {
-		opts.Benchmarks = strings.Split(*benches, ",")
-	}
+	opts.Benchmarks = benchList
 
 	ctx := context.Background()
 	if *timeout > 0 {

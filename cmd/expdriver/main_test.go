@@ -24,6 +24,24 @@ func TestBadFlagExits2(t *testing.T) {
 	}
 }
 
+// TestUnknownBenchmarkExits2: a typo in -bench is a usage error naming
+// the benchmark, not a run over a partial or empty suite.
+func TestUnknownBenchmarkExits2(t *testing.T) {
+	for _, exp := range []string{"table1", "fig8", "fig10", "all"} {
+		var out, errOut bytes.Buffer
+		code := run([]string{"-exp", exp, "-quick", "-bench", "compress,typo"}, &out, &errOut)
+		if code != 2 {
+			t.Fatalf("-exp %s: exit code %d, want 2", exp, code)
+		}
+		if !strings.Contains(errOut.String(), `"typo"`) {
+			t.Errorf("-exp %s: stderr %q does not name the benchmark", exp, errOut.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("-exp %s: ran anyway:\n%s", exp, out.String())
+		}
+	}
+}
+
 func TestMissingResumeFileExits1(t *testing.T) {
 	var out, errOut bytes.Buffer
 	code := run([]string{"-exp", "table1",

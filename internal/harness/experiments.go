@@ -61,18 +61,26 @@ func (o Options) newRunner(b *programs.Benchmark) (*Runner, error) {
 	return r, nil
 }
 
-func (o Options) suite() []*programs.Benchmark {
-	all := programs.All()
+func (o Options) suite() ([]*programs.Benchmark, error) {
 	if len(o.Benchmarks) == 0 {
-		return all
+		return programs.All(), nil
 	}
-	var out []*programs.Benchmark
-	for _, name := range o.Benchmarks {
-		if b := programs.ByName(name); b != nil {
-			out = append(out, b)
+	return LookupBenchmarks(o.Benchmarks)
+}
+
+// LookupBenchmarks resolves benchmark names in order. An unknown name is
+// an error rather than a silent omission, which would run a partial
+// suite (or none) and misalign index-addressed result slots.
+func LookupBenchmarks(names []string) ([]*programs.Benchmark, error) {
+	out := make([]*programs.Benchmark, 0, len(names))
+	for _, name := range names {
+		b := programs.ByName(name)
+		if b == nil {
+			return nil, fmt.Errorf("harness: no benchmark %q", name)
 		}
+		out = append(out, b)
 	}
-	return out
+	return out, nil
 }
 
 func (o Options) corpusFor(b *programs.Benchmark) int {
@@ -148,7 +156,10 @@ type table1Evolve struct {
 // the running-time range under the Default VM, the raw and tree-selected
 // feature counts, and Evolve's confidence and accuracy.
 func Table1(ctx context.Context, w io.Writer, opts Options) ([]Table1Row, error) {
-	suite := opts.suite()
+	suite, err := opts.suite()
+	if err != nil {
+		return nil, err
+	}
 	p := opts.planner("table1")
 	defs := make([]table1Defaults, len(suite))
 	evs := make([]table1Evolve, len(suite))
@@ -265,14 +276,10 @@ func Figure8(ctx context.Context, w io.Writer, opts Options) ([]Fig8Series, erro
 	if opts.Benchmarks == nil {
 		opts.Benchmarks = []string{"mtrt", "raytracer"}
 	}
-	// suite() drops unknown names silently, which would desync the
-	// index-addressed slots below; reject them here instead.
-	for _, name := range opts.Benchmarks {
-		if programs.ByName(name) == nil {
-			return nil, fmt.Errorf("harness: no benchmark %q", name)
-		}
+	suite, err := opts.suite()
+	if err != nil {
+		return nil, err
 	}
-	suite := opts.suite()
 	p := opts.planner("figure8")
 	evs := make([]fig8Evolve, len(suite))
 	reps := make([][]float64, len(suite))
@@ -369,10 +376,8 @@ func Figure9(ctx context.Context, w io.Writer, opts Options) (map[string][]Fig9P
 	if benches == nil {
 		benches = []string{"mtrt", "compress"}
 	}
-	for _, name := range benches {
-		if programs.ByName(name) == nil {
-			return nil, fmt.Errorf("harness: no benchmark %q", name)
-		}
+	if _, err := LookupBenchmarks(benches); err != nil {
+		return nil, err
 	}
 	p := opts.planner("figure9")
 	evs := make([]fig9Evolve, len(benches))
@@ -517,7 +522,10 @@ type Fig10Row struct {
 // Figure10 reproduces the paper's Figure 10: boxplots of per-run speedups
 // for every benchmark under Evolve and Rep, over the same input order.
 func Figure10(ctx context.Context, w io.Writer, opts Options) ([]Fig10Row, error) {
-	suite := opts.suite()
+	suite, err := opts.suite()
+	if err != nil {
+		return nil, err
+	}
 	p := opts.planner("figure10")
 	evolve := make([]stats.FiveNum, len(suite))
 	repSum := make([]stats.FiveNum, len(suite))
@@ -585,7 +593,10 @@ type OverheadRow struct {
 // time Evolve spends on feature extraction and prediction (model
 // construction happens after the run and is not charged).
 func Overhead(ctx context.Context, w io.Writer, opts Options) ([]OverheadRow, error) {
-	suite := opts.suite()
+	suite, err := opts.suite()
+	if err != nil {
+		return nil, err
+	}
 	p := opts.planner("overhead")
 	rows := make([]OverheadRow, len(suite))
 	for i, b := range suite {
@@ -654,10 +665,8 @@ func Sensitivity(ctx context.Context, w io.Writer, opts Options) ([]SensitivityR
 	if benches == nil {
 		benches = []string{"mtrt", "raytracer"}
 	}
-	for _, name := range benches {
-		if programs.ByName(name) == nil {
-			return nil, fmt.Errorf("harness: no benchmark %q", name)
-		}
+	if _, err := LookupBenchmarks(benches); err != nil {
+		return nil, err
 	}
 	thresholds := []float64{0.5, 0.7, 0.9}
 	orders := 5
@@ -797,10 +806,8 @@ func Ablation(ctx context.Context, w io.Writer, opts Options) ([]AblationResult,
 	if benches == nil {
 		benches = []string{"mtrt", "compress"}
 	}
-	for _, name := range benches {
-		if programs.ByName(name) == nil {
-			return nil, fmt.Errorf("harness: no benchmark %q", name)
-		}
+	if _, err := LookupBenchmarks(benches); err != nil {
+		return nil, err
 	}
 	// Aggregate the early-run (first quarter) speedups across several
 	// arrival orders: the guard's value is worst-case protection, so a

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"context"
+	"io"
 	"strings"
 	"testing"
 
@@ -176,14 +178,19 @@ func TestAblationQuick(t *testing.T) {
 }
 
 func TestOptionsHelpers(t *testing.T) {
-	o := Options{Benchmarks: []string{"mtrt", "bogus"}}
-	if len(o.suite()) != 1 {
-		t.Errorf("suite() = %d entries, want 1 (bogus filtered)", len(o.suite()))
+	if _, err := (Options{Benchmarks: []string{"mtrt", "bogus"}}).suite(); err == nil ||
+		!strings.Contains(err.Error(), `"bogus"`) {
+		t.Errorf("suite() with an unknown name: err = %v, want one naming \"bogus\"", err)
 	}
-	if got := (Options{}).suite(); len(got) != 11 {
-		t.Errorf("full suite = %d, want 11", len(got))
+	if got, err := (Options{}).suite(); err != nil || len(got) != 11 {
+		t.Errorf("full suite = %d (err %v), want 11", len(got), err)
 	}
-	b := o.suite()[0]
+	o := Options{Benchmarks: []string{"mtrt"}}
+	suite, err := o.suite()
+	if err != nil || len(suite) != 1 {
+		t.Fatalf("suite() = %d entries (err %v), want 1", len(suite), err)
+	}
+	b := suite[0]
 	if (Options{Corpus: 9}).corpusFor(b) != 9 {
 		t.Error("corpus override ignored")
 	}
@@ -192,6 +199,26 @@ func TestOptionsHelpers(t *testing.T) {
 	}
 	if (Options{}).runsFor(b) != 70 { // mtrt has a 40-input corpus
 		t.Error("paper run count wrong for many-input benchmark")
+	}
+}
+
+// TestUnknownBenchmarkFailsLoudly: every experiment that takes a
+// benchmark filter rejects an unknown name, naming it, instead of
+// running a partial or empty suite.
+func TestUnknownBenchmarkFailsLoudly(t *testing.T) {
+	opts := Options{Benchmarks: []string{"compress", "typo"}, Quick: true}
+	for name, exp := range map[string]func() error{
+		"table1":      func() error { _, err := Table1(context.Background(), io.Discard, opts); return err },
+		"figure8":     func() error { _, err := Figure8(context.Background(), io.Discard, opts); return err },
+		"figure9":     func() error { _, err := Figure9(context.Background(), io.Discard, opts); return err },
+		"figure10":    func() error { _, err := Figure10(context.Background(), io.Discard, opts); return err },
+		"overhead":    func() error { _, err := Overhead(context.Background(), io.Discard, opts); return err },
+		"sensitivity": func() error { _, err := Sensitivity(context.Background(), io.Discard, opts); return err },
+		"ablation":    func() error { _, err := Ablation(context.Background(), io.Discard, opts); return err },
+	} {
+		if err := exp(); err == nil || !strings.Contains(err.Error(), `"typo"`) {
+			t.Errorf("%s: err = %v, want one naming \"typo\"", name, err)
+		}
 	}
 }
 

@@ -27,7 +27,9 @@ type Plan map[int][]PlanEntry
 type Repository struct {
 	prog *bytecode.Program
 	// workHist[r][fn] is the baseline-equivalent work fn performed in
-	// recorded run r.
+	// recorded run r. It is append-only: RecordWork appends a private
+	// copy of each run, and nothing rewrites or removes a recorded row,
+	// so Capture can share a capacity-clipped prefix without copying.
 	workHist [][]int64
 
 	// Plan memoization: BuildPlan is a pure function of the history, the

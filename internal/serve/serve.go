@@ -15,12 +15,16 @@
 //     (sched.Chains), so each learner sees a deterministic run sequence.
 //  2. The shared cross-tenant tier is read and written only at epoch
 //     barriers — every Config.EpochLength sequence numbers, a barrier
-//     drains the pool and publishes, per benchmark, a snapshot of the
+//     drains the pool and publishes, per benchmark, a capture of the
 //     most-trained chain (ties to the lexicographically smallest
-//     tenant). A chain created between barriers seeds from the snapshot
-//     published at its epoch's start, so a cold tenant's first request
-//     benefits from what other tenants already learned, by exactly the
-//     same amount in every replay.
+//     tenant). A capture is an immutable in-memory copy of the chain's
+//     learned state (session.Capture) that shares its append-only
+//     histories, so the barrier encodes nothing and its cost does not
+//     grow with history; checkpoints (Server.Save) are still JSON. A
+//     chain created between barriers seeds from the capture published
+//     at its epoch's start, so a cold tenant's first request benefits
+//     from what other tenants already learned, by exactly the same
+//     amount in every replay.
 //  3. Wall-clock effects never commit: a deadline-expired run aborts
 //     with *interp.CanceledError before the controller's OnRunEnd, so
 //     cancellation cannot perturb learner state; recorded traces mark
@@ -35,7 +39,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -298,12 +301,13 @@ type Server struct {
 	traps     atomic.Int64
 	canceled  atomic.Int64
 
-	// tier is the shared cross-tenant state: per-benchmark snapshots
-	// published only at epoch barriers. Tasks read it (RLock) when a new
-	// chain is created; only the barrier writes it, with the pool empty.
-	// This is the one remaining epoch-scoped lock on the request path.
+	// tier is the shared cross-tenant state: per-benchmark immutable
+	// captures (not JSON) published only at epoch barriers. Tasks read
+	// it (RLock) when a new chain is created and seed from the capture;
+	// only the barrier writes it, with the pool empty. This is the one
+	// remaining epoch-scoped lock on the request path.
 	tierMu sync.RWMutex
-	tier   map[string]json.RawMessage
+	tier   map[string]*session.Capture
 
 	// chains and out are lock-striped; see chainMap and outcomeMap.
 	chains chainMap
@@ -333,7 +337,7 @@ func New(cfg Config) (*Server, error) {
 		pool:      sched.NewChains(cfg.Workers),
 		sess:      session.New(),
 		perTenant: make(map[string]int),
-		tier:      make(map[string]json.RawMessage),
+		tier:      make(map[string]*session.Capture),
 		lastEpoch: -1,
 	}
 	s.chains.init()
@@ -750,7 +754,7 @@ func (s *Server) execute(req traffic.Request) *Response {
 }
 
 // chain returns (or creates) the request's learning chain. Creation
-// seeds from the shared tier's snapshot for the benchmark — published at
+// seeds from the shared tier's capture for the benchmark — published at
 // the current epoch's barrier — unless the server is Isolated.
 func (s *Server) chain(req traffic.Request) *chain {
 	key := req.Chain()
@@ -767,11 +771,11 @@ func (s *Server) chain(req traffic.Request) *chain {
 		sh.mu.Unlock()
 		if !s.cfg.Isolated {
 			s.tierMu.RLock()
-			blob := s.tier[req.Bench]
+			c := s.tier[req.Bench]
 			s.tierMu.RUnlock()
-			if blob != nil {
+			if c != nil {
 				// A failed seed leaves the chain cold — it still serves.
-				_ = ch.runner.State.Restore(blob)
+				_ = ch.runner.State.Seed(c)
 			}
 		}
 		// Attach after seeding so a checkpoint taken later captures the
@@ -783,10 +787,12 @@ func (s *Server) chain(req traffic.Request) *chain {
 	return ch
 }
 
-// publish is the epoch barrier body: with the pool drained, snapshot the
+// publish is the epoch barrier body: with the pool drained, capture the
 // most-trained chain of each benchmark (ties to the smallest tenant
 // name) into the shared tier. Runs and tenant names are deterministic,
-// so the published snapshots are too.
+// so the published captures are too. A capture costs O(functions) and
+// encodes nothing; a chain whose state cannot be captured (Capture fails
+// where a checkpoint would) leaves the benchmark's previous entry.
 func (s *Server) publish() {
 	// Pre-warm host execution plans for every hot cached form, so cold
 	// tenants inherit compiled code along with the learned state below.
@@ -813,12 +819,12 @@ func (s *Server) publish() {
 		}
 	}
 	for bench, ch := range best {
-		blob, err := ch.runner.State.Snapshot()
+		c, err := ch.runner.State.Capture()
 		if err != nil {
 			continue
 		}
 		s.tierMu.Lock()
-		s.tier[bench] = blob
+		s.tier[bench] = c
 		s.tierMu.Unlock()
 	}
 }

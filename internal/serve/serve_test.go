@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
 
+	"evolvevm/internal/core"
+	"evolvevm/internal/gc"
 	"evolvevm/internal/harness"
 	"evolvevm/internal/session"
 	"evolvevm/internal/traffic"
+	"evolvevm/internal/xicl"
 )
 
 func testConfig(workers int) Config {
@@ -456,5 +460,35 @@ func TestColdTenantBenefitsFromSharedTier(t *testing.T) {
 	defer isolated.Close()
 	if firstColdPredicted(isolated) {
 		t.Error("isolated: cold tenant's first request was predicted without shared learning")
+	}
+}
+
+// TestPublishKeepsEntryWhenCaptureFails: when the best chain's state
+// cannot be captured — a non-finite learned feature, which no checkpoint
+// can encode either — publishing leaves the benchmark's previous tier
+// entry in place.
+func TestPublishKeepsEntryWhenCaptureFails(t *testing.T) {
+	tr, err := traffic.Generate(traffic.GenConfig{
+		Seed: 42, Requests: 32, Tenants: 2, Benches: []string{"compress"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(2)
+	cfg.Benches = []string{"compress"}
+	s := runTrace(t, cfg, tr)
+	defer s.Close()
+	before := s.tier["compress"]
+	if before == nil {
+		t.Fatal("nothing published")
+	}
+	collected := gc.Stats{Collections: []gc.Collection{{LiveCells: 1, TotalCells: 2, FreedCells: 1}}, Allocs: 1}
+	for _, ch := range s.chains.all() {
+		ch.runner.State.GCSelector(core.DefaultConfig()).
+			Observe(xicl.Vector{xicl.NumFeature("-k.VAL", math.NaN())}, collected)
+	}
+	s.publish()
+	if s.tier["compress"] != before {
+		t.Error("a capture that cannot be taken replaced the tier entry")
 	}
 }

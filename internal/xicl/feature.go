@@ -21,8 +21,10 @@ package xicl
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // FeatureKind distinguishes quantitative from categorical features, a
@@ -79,10 +81,39 @@ func (f Feature) Equal(g Feature) bool {
 	return f.Num == g.Num
 }
 
+// Canonical reports whether f is exactly what NumFeature or CatFeature
+// builds from valid UTF-8 text and, for a number, a finite value other
+// than negative zero. A canonical feature survives a JSON round trip
+// (the checkpoint format) bit for bit; any other feature either fails to
+// encode (a non-finite number) or comes back changed.
+func (f Feature) Canonical() bool {
+	if !utf8.ValidString(f.Name) {
+		return false
+	}
+	switch f.Kind {
+	case Numeric:
+		return f.Cat == "" && !math.IsInf(f.Num, 0) && !math.IsNaN(f.Num) &&
+			!(f.Num == 0 && math.Signbit(f.Num))
+	case Categorical:
+		return math.Float64bits(f.Num) == 0 && utf8.ValidString(f.Cat)
+	}
+	return false
+}
+
 // Vector is an ordered feature vector. The translator guarantees a stable
 // shape for a given specification: the same positions carry the same
 // feature names in every run.
 type Vector []Feature
+
+// Canonical reports whether every feature of v is canonical.
+func (v Vector) Canonical() bool {
+	for _, f := range v {
+		if !f.Canonical() {
+			return false
+		}
+	}
+	return true
+}
 
 func (v Vector) String() string {
 	parts := make([]string, len(v))
