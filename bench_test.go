@@ -60,17 +60,16 @@ func BenchmarkFigure8(b *testing.B) {
 }
 
 // substrateColumns are the host-tier variants the loop-heavy experiment
-// benchmarks record: the full substrate (register traces included) vs
-// the previous fastest configuration (register tier off, closure tier
-// and below unchanged). Virtual results are bit-identical across the
-// columns (substrate equivalence suites); the ns/op spread is the
-// register tier's end-to-end host-side win.
+// benchmarks record: the production register ceiling vs the fused
+// ceiling below it. Virtual results are bit-identical across the columns
+// (substrate equivalence suites); the ns/op spread is the register
+// tier's end-to-end host-side win.
 var substrateColumns = []struct {
 	name string
 	sub  exec.Substrate
 }{
 	{"reg", exec.Substrate{}},
-	{"noreg", exec.Substrate{NoRegTier: true}},
+	{"noreg", exec.Substrate{Tiers: interp.Tiers{Ceiling: interp.TierFused}}},
 }
 
 // BenchmarkFigure9 regenerates Figure 9 (E3): speedup vs default running
@@ -170,10 +169,8 @@ func BenchmarkAblation(b *testing.B) {
 
 // --- substrate microbenchmarks ---
 
-// BenchmarkInterpreterDispatch measures the raw execution engine on a
-// tight arithmetic loop.
-func BenchmarkInterpreterDispatch(b *testing.B) {
-	prog, err := bytecode.Assemble("microloop", `
+// microloopSrc is the tight arithmetic loop of the dispatch benchmarks.
+const microloopSrc = `
 global n
 func main() locals i acc
   const 0
@@ -195,169 +192,12 @@ done:
   load acc
   ret
 end
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := interp.NewEngine(prog)
-		if err := e.SetGlobal("n", bytecode.Int(10000)); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+`
 
-// BenchmarkInterpDispatch measures the same tight loop with the host
-// performance substrate fully on, batching without fusion, and fully off
-// — the spread between the sub-benchmarks is the dispatch saving of
-// block-batched accounting and superinstruction fusion (the virtual
-// results are bit-identical in all three modes; see the substrate suites
-// in internal/difftest and internal/harness).
-func BenchmarkInterpDispatch(b *testing.B) {
-	prog, err := bytecode.Assemble("microloop", `
-global n
-func main() locals i acc
-  const 0
-  store acc
-  const 0
-  store i
-loop:
-  load i
-  gload n
-  ige
-  jnz done
-  load acc
-  load i
-  ixor
-  store acc
-  iinc i 1
-  jmp loop
-done:
-  load acc
-  ret
-end
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	modes := []struct {
-		name               string
-		noFuse, noBatching bool
-		closures           bool
-	}{
-		{name: "closure", closures: true},
-		{name: "substrate"},
-		{name: "nofuse", noFuse: true},
-		{name: "off", noBatching: true},
-	}
-	for _, mode := range modes {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := interp.NewEngine(prog)
-				e.DisableFusion = mode.noFuse
-				e.DisableBatching = mode.noBatching
-				e.DisableClosures = !mode.closures
-				e.EagerClosures = mode.closures
-				if err := e.SetGlobal("n", bytecode.Int(10000)); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := e.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDispatchTiers compares the four dispatch tiers — batched
-// switch, fused switch, closure-threaded, and register-converted traces —
-// on the same tight loop, honestly: one engine per tier, warmed before
-// the timer so every mode runs its steady state (plans decoded, closures
-// compiled, traces converted, pools populated) rather than paying
-// one-time build costs inside the measurement. The virtual results are
-// bit-identical across all four (see the substrate suites); the spread is
-// pure host dispatch cost.
-func BenchmarkDispatchTiers(b *testing.B) {
-	prog, err := bytecode.Assemble("microloop", `
-global n
-func main() locals i acc
-  const 0
-  store acc
-  const 0
-  store i
-loop:
-  load i
-  gload n
-  ige
-  jnz done
-  load acc
-  load i
-  ixor
-  store acc
-  iinc i 1
-  jmp loop
-done:
-  load acc
-  ret
-end
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tiers := []struct {
-		name      string
-		configure func(*interp.Engine)
-	}{
-		{"switch", func(e *interp.Engine) {
-			e.DisableFusion = true
-			e.DisableClosures = true
-			e.DisableRegTier = true
-		}},
-		{"fused", func(e *interp.Engine) {
-			e.DisableClosures = true
-			e.DisableRegTier = true
-		}},
-		{"closure", func(e *interp.Engine) {
-			e.EagerClosures = true
-			e.DisableRegTier = true
-		}},
-		{"register", func(e *interp.Engine) {
-			e.EagerClosures = true
-			e.EagerRegTier = true
-		}},
-	}
-	for _, tier := range tiers {
-		b.Run(tier.name, func(b *testing.B) {
-			e := interp.NewEngine(prog)
-			run := func() {
-				e.Reset()
-				tier.configure(e)
-				if err := e.SetGlobal("n", bytecode.Int(10000)); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := e.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			run() // warm: plans, closures, traces, pooled scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-		})
-	}
-
-	// Call-heavy shape: the same loop with a small non-recursive callee in
-	// the body. Before CALL inlining this shape degraded out of the
-	// register tier entirely; the register/register-noinline spread is the
-	// per-commit tracking signal for the inlining win.
-	callProg, err := bytecode.Assemble("microcall", `
+// microcallSrc is the same loop with a small non-recursive callee in the
+// body. Before CALL inlining this shape degraded out of the register
+// tier entirely.
+const microcallSrc = `
 global n
 func main() locals i acc
   const 0
@@ -388,38 +228,53 @@ func leaf(x)
   iadd
   ret
 end
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	callTiers := append(tiers[:len(tiers):len(tiers)], struct {
-		name      string
-		configure func(*interp.Engine)
-	}{"register-noinline", func(e *interp.Engine) {
-		e.EagerClosures = true
-		e.EagerRegTier = true
-		e.DisableCallInline = true
-	}})
-	for _, tier := range callTiers {
-		b.Run("call/"+tier.name, func(b *testing.B) {
-			e := interp.NewEngine(callProg)
-			run := func() {
-				e.Reset()
-				tier.configure(e)
-				if err := e.SetGlobal("n", bytecode.Int(10000)); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := e.Run(); err != nil {
-					b.Fatal(err)
-				}
+`
+
+// BenchmarkTierModes compares the host tier modes (interp.TierModes:
+// every ceiling and the register tier under each stress set) on the
+// microloop ("loop/") and the call-heavy loop ("call/"), honestly: one
+// engine per mode, warmed before the timer so every mode runs its steady
+// state (plans decoded, traces converted, pools populated) rather than
+// paying one-time build costs inside the measurement. The async modes are
+// left out: a background build's landing moment would be the
+// measurement. The engines run baseline (level −1) code, so the
+// production "register" mode measures the fused switch plus the
+// promotion checks, and the eager-reg modes measure the register tier;
+// on "call/", the register+eager-reg vs register+eager-reg+no-inline
+// spread tracks the CALL-inlining win per commit.
+func BenchmarkTierModes(b *testing.B) {
+	for _, shape := range []struct{ name, src string }{
+		{"loop", microloopSrc},
+		{"call", microcallSrc},
+	} {
+		prog, err := bytecode.Assemble(shape.name, shape.src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range interp.TierModes() {
+			if m.Async {
+				continue
 			}
-			run()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run()
-			}
-		})
+			b.Run(shape.name+"/"+m.Name, func(b *testing.B) {
+				e := interp.NewEngine(prog)
+				run := func() {
+					e.Reset()
+					e.Tiers = m.Tiers
+					if err := e.SetGlobal("n", bytecode.Int(10000)); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := e.Run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				run() // warm: plans, traces, pooled scratch
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run()
+				}
+			})
+		}
 	}
 }
 
@@ -575,9 +430,9 @@ end
 		name string
 		sub  exec.Substrate
 	}{
-		{"inline", exec.Substrate{EagerRegTier: true}},
-		{"noinline", exec.Substrate{EagerRegTier: true, NoCallInline: true}},
-		{"noreg", exec.Substrate{NoRegTier: true}},
+		{"inline", exec.Substrate{Tiers: interp.Tiers{Stress: interp.StressEagerReg}}},
+		{"noinline", exec.Substrate{Tiers: interp.Tiers{Stress: interp.StressEagerReg | interp.StressNoInline}}},
+		{"noreg", exec.Substrate{Tiers: interp.Tiers{Ceiling: interp.TierFused}}},
 	}
 	for _, col := range columns {
 		b.Run(col.name, func(b *testing.B) {
@@ -692,8 +547,8 @@ func BenchmarkColdStartServe(b *testing.B) {
 			}
 		}
 	}
-	b.Run("sync", func(b *testing.B) { run(b, exec.Substrate{SyncCompile: true}) })
-	b.Run("async", func(b *testing.B) { run(b, exec.Substrate{AsyncCompile: true}) })
+	b.Run("sync", func(b *testing.B) { run(b, exec.Substrate{Compile: exec.CompileSync}) })
+	b.Run("async", func(b *testing.B) { run(b, exec.Substrate{Compile: exec.CompileAsync}) })
 }
 
 func BenchmarkGCSelection(b *testing.B) {

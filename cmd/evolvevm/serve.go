@@ -14,6 +14,7 @@ import (
 	"syscall"
 	"time"
 
+	"evolvevm/internal/exec"
 	"evolvevm/internal/harness"
 	"evolvevm/internal/serve"
 	"evolvevm/internal/traffic"
@@ -117,6 +118,22 @@ func serveScenario(name string) (harness.Scenario, error) {
 	return 0, fmt.Errorf("unknown scenario %q", name)
 }
 
+// serverCounts names the count flags serverFlags registers.
+var serverCounts = []string{"workers", "queue", "tenant-cap", "epoch", "corpus"}
+
+// rejectNegative exits with a usage error (status 2) when one of the
+// named int flags of fs holds a negative value. Zero selects a count's
+// default or "unlimited", so a negative value is a typo, not a request.
+func rejectNegative(fs *flag.FlagSet, names ...string) {
+	for _, name := range names {
+		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v < 0 {
+			fmt.Fprintf(os.Stderr, "%s: -%s %d: must not be negative\n", fs.Name(), name, v)
+			fs.Usage()
+			os.Exit(2)
+		}
+	}
+}
+
 // serverFlags registers the serve.Config flags shared by serve, replay,
 // and loadtest, returning a filler that builds the config after Parse.
 func serverFlags(fs *flag.FlagSet) func() (serve.Config, error) {
@@ -130,8 +147,8 @@ func serverFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 		corpus    = fs.Int("corpus", 0, "per-benchmark input corpus size (0 = default)")
 		isolated  = fs.Bool("isolated", false, "disable the shared cross-tenant learning tier")
 		benches   = fs.String("benches", "", "comma-separated benchmarks to serve (default: all)")
-		asyncComp = fs.Bool("async-compile", false, "build tier plans on a background pool instead of inline at the promotion point (also: EVOLVEVM_ASYNC_COMPILE)")
-		syncComp  = fs.Bool("sync-compile", false, "force inline tier-plan builds, overriding -async-compile and the env knob")
+		asyncComp = fs.Bool("async-compile", false, "build trace plans on a background pool instead of inline at the promotion point (also: EVOLVEVM_ASYNC_COMPILE)")
+		syncComp  = fs.Bool("sync-compile", false, "force inline trace-plan builds, overriding -async-compile and the env knob")
 	)
 	return func() (serve.Config, error) {
 		sc, err := serveScenario(*scenario)
@@ -148,8 +165,12 @@ func serverFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 			CorpusSize:  *corpus,
 			Isolated:    *isolated,
 		}
-		cfg.Substrate.AsyncCompile = *asyncComp
-		cfg.Substrate.SyncCompile = *syncComp
+		switch {
+		case *syncComp:
+			cfg.Substrate.Compile = exec.CompileSync
+		case *asyncComp:
+			cfg.Substrate.Compile = exec.CompileAsync
+		}
 		if *benches != "" {
 			cfg.Benches = strings.Split(*benches, ",")
 		}
@@ -167,6 +188,7 @@ func runServe(args []string) {
 	build := serverFlags(fs)
 	startProf, stopProf := profileFlags(fs)
 	fs.Parse(args)
+	rejectNegative(fs, serverCounts...)
 	startProf()
 
 	cfg, err := build()
@@ -222,6 +244,7 @@ func runReplay(args []string) {
 	clients := fs.Int("clients", 1, "concurrent submission loops (chain-partitioned; outcomes are identical for every value)")
 	build := serverFlags(fs)
 	fs.Parse(args)
+	rejectNegative(fs, append(serverCounts, "clients")...)
 
 	if *tracePath == "" {
 		fmt.Fprintln(os.Stderr, "evolvevm replay: -trace is required")
@@ -316,6 +339,7 @@ func runLoadTest(args []string) {
 	build := serverFlags(fs)
 	startProf, stopProf := profileFlags(fs)
 	fs.Parse(args)
+	rejectNegative(fs, append(serverCounts, "clients", "requests", "tenants")...)
 	startProf()
 	defer stopProf()
 

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -63,6 +64,35 @@ func TestLoadtestWritesProfiles(t *testing.T) {
 			t.Errorf("-%sprofile: %v", kind, err)
 		} else if fi.Size() == 0 {
 			t.Errorf("-%sprofile: %s is empty", kind, path)
+		}
+	}
+}
+
+// TestServingRejectsNegativeCounts: a negative count on a serving
+// subcommand is a usage error (exit 2) naming the flag, not a silent
+// fallback to the default; serve never starts listening.
+func TestServingRejectsNegativeCounts(t *testing.T) {
+	t.Parallel()
+	const addr = "127.0.0.1:0" // should the check fail, serve binds nothing fixed
+	for _, args := range [][]string{
+		{"serve", "-workers", "-1", "-addr", addr},
+		{"serve", "-queue", "-1", "-addr", addr},
+		{"serve", "-epoch", "-1", "-addr", addr},
+		{"serve", "-corpus", "-1", "-addr", addr},
+		{"serve", "-tenant-cap", "-1", "-addr", addr},
+		{"replay", "-workers", "-2"},
+		{"replay", "-clients", "-1"},
+		{"loadtest", "-queue", "-3"},
+		{"loadtest", "-clients", "-1"},
+		{"loadtest", "-requests", "-5"},
+		{"loadtest", "-tenants", "-1"},
+	} {
+		code, out := runCLI(t, args...)
+		if code != 2 {
+			t.Errorf("%v: exit code %d, want 2; output:\n%s", args, code, out)
+		}
+		if !strings.Contains(out, args[1]+" "+args[2]+": must not be negative") || strings.Contains(out, "serving on") {
+			t.Errorf("%v: want a usage error naming the flag, got:\n%s", args, out)
 		}
 	}
 }

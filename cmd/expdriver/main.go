@@ -65,6 +65,20 @@ func run(args []string, w, werr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// Zero selects each count's default, so a negative value is a typo,
+	// not a request.
+	for _, f := range []struct {
+		name string
+		neg  bool
+	}{
+		{"runs", *runs < 0}, {"corpus", *corpus < 0},
+		{"workers", *workers < 0}, {"timeout", *timeout < 0},
+	} {
+		if f.neg {
+			fmt.Fprintf(werr, "expdriver: -%s must not be negative\n", f.name)
+			return 2
+		}
+	}
 	var benchList []string
 	if *benches != "" {
 		benchList = strings.Split(*benches, ",")
@@ -153,7 +167,9 @@ func run(args []string, w, werr io.Writer) int {
 		Workers:  *workers,
 		Session:  sess,
 	}
-	opts.Substrate.AsyncCompile = *asynccompile
+	if *asynccompile {
+		opts.Substrate.Compile = exec.CompileAsync
+	}
 	opts.Benchmarks = benchList
 
 	ctx := context.Background()
@@ -244,7 +260,6 @@ func printTraceStats(werr io.Writer) {
 		st.Deopts, st.GuardFails, st.InlinedCalls, st.InlineDeopts)
 	if len(st.Degrade) == 0 {
 		fmt.Fprintf(werr, "trace tier: no degradations\n")
-		return
 	}
 	reasons := make([]string, 0, len(st.Degrade))
 	for r := range st.Degrade {
@@ -263,8 +278,8 @@ func printTraceStats(werr io.Writer) {
 // diagnostics must never touch the schedule-stable stdout stream.
 func printCompileStats(werr io.Writer) {
 	pi := interp.ReadPlanInstallStats()
-	fmt.Fprintf(werr, "plan installs: lost_plans=%d lost_closures=%d lost_traces=%d\n",
-		pi.LostPlans, pi.LostClosures, pi.LostTraces)
+	fmt.Fprintf(werr, "plan installs: lost_plans=%d lost_traces=%d\n",
+		pi.LostPlans, pi.LostTraces)
 	st := exec.CompilePoolStats()
 	if st == nil {
 		fmt.Fprintf(werr, "compile pool: not used\n")
@@ -272,7 +287,6 @@ func printCompileStats(werr io.Writer) {
 	}
 	fmt.Fprintf(werr, "compile pool: enqueued=%d built=%d lost_installs=%d dropped=%d deduped=%d queue_high_water=%d\n",
 		st.Enqueued, st.Built, st.LostInstalls, st.Dropped, st.Deduped, st.QueueHighWater)
-	fmt.Fprintf(werr, "compile pool: closure builds n=%d mean=%dns p50=%dns p99=%dns; trace builds n=%d mean=%dns p50=%dns p99=%dns\n",
-		st.Closure.Count, st.Closure.MeanNs, st.Closure.P50Ns, st.Closure.P99Ns,
+	fmt.Fprintf(werr, "compile pool: trace builds n=%d mean=%dns p50=%dns p99=%dns\n",
 		st.Trace.Count, st.Trace.MeanNs, st.Trace.P50Ns, st.Trace.P99Ns)
 }

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"evolvevm/internal/interp"
 )
 
 func TestUnknownExperimentExits2(t *testing.T) {
@@ -103,5 +105,42 @@ func TestDeadlineAbortIsTypedAndResumable(t *testing.T) {
 	if resumed.String() != clean.String() {
 		t.Errorf("post-abort resume differs from an uninterrupted run:\n--- resumed ---\n%s--- clean ---\n%s",
 			resumed.String(), clean.String())
+	}
+}
+
+// TestNegativeCountsExit2: a negative count is a usage error naming the
+// flag, not a silent fallback to the default.
+func TestNegativeCountsExit2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-runs", "-3"},
+		{"-corpus", "-1"},
+		{"-workers", "-2"},
+		{"-timeout", "-1s"},
+	} {
+		var out, errOut bytes.Buffer
+		code := run(append([]string{"-exp", "table1", "-quick", "-bench", "compress"}, args...), &out, &errOut)
+		if code != 2 {
+			t.Errorf("%v: exit code %d, want 2", args, code)
+		}
+		if !strings.Contains(errOut.String(), args[0]+" must not be negative") {
+			t.Errorf("%v: stderr %q does not name the flag", args, errOut.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: ran anyway:\n%s", args, out.String())
+		}
+	}
+}
+
+// TestTraceStatsReportCompileCountersWithoutDegradations: -tracestats
+// prints the plan-install and compile-pool lines whether or not any
+// trace degraded.
+func TestTraceStatsReportCompileCountersWithoutDegradations(t *testing.T) {
+	interp.ResetTraceStats()
+	var errOut bytes.Buffer
+	printTraceStats(&errOut)
+	for _, want := range []string{"trace tier: no degradations", "plan installs:", "compile pool:"} {
+		if !strings.Contains(errOut.String(), want) {
+			t.Errorf("stderr lacks %q:\n%s", want, errOut.String())
+		}
 	}
 }

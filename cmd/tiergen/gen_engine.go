@@ -10,7 +10,7 @@ import (
 
 // genEngineRun emits internal/interp/engine_run_gen.go: the whole of
 // Engine.Run. The tier scaffolding — frame handling, sampling, the trace
-// and closure tier entries, the fused superinstruction arms — is spliced
+// tier entry, the fused superinstruction arms — is spliced
 // in verbatim from the templates below; the per-opcode arms of the fused
 // plan's micro-op switch and of the accounted per-instruction switch are
 // generated from the spec (scalar groups as shared inner switches with

@@ -8,10 +8,9 @@ import (
 )
 
 // genSem emits internal/interp/sem_gen.go: the scalar group helpers every
-// tier calls (intBin, intCmp, fltBin, fltCmp), the comparison truth-table
-// decomposition used by the closure tier, the semantic kernels of the
-// pure ops outside any scalar group, and the kernel dispatch tables of
-// the register tier.
+// tier calls (intBin, intCmp, fltBin, fltCmp), the semantic kernels of
+// the pure ops outside any scalar group, and the kernel dispatch tables
+// of the register tier.
 func genSem(table []opspec.Op) string {
 	var b strings.Builder
 	b.WriteString("// The semantic core of the instruction set: every tier's arithmetic\n")
@@ -26,35 +25,6 @@ func genSem(table []opspec.Op) string {
 		"// fltBin applies a float binop, mirroring the accounted interpreter.\n")
 	genGroupFn(&b, table, "fltcmp", "fltCmp", "float64", "bool",
 		"// fltCmp applies a float comparison, mirroring the accounted interpreter.\n")
-
-	// cmpFlags: the three-region truth table of each integer comparison,
-	// obtained by probing intCmp at one representative of each sign(a-b)
-	// region — valid because every intcmp scalar expression is a function
-	// of sign(a-b) alone.
-	b.WriteString("// cmpFlags decomposes an integer comparison into its three-region truth\n")
-	b.WriteString("// table: the result for a<b, a==b, and a>b. A closure captures the three\n")
-	b.WriteString("// booleans and evaluates the comparison with two compares and no call.\n")
-	b.WriteString("// The table is obtained by probing intCmp at one representative of each\n")
-	b.WriteString("// region, so it tracks the spec's scalar expressions by construction\n")
-	b.WriteString("// (every comparison in the intcmp group is a function of sign(a-b)).\n")
-	b.WriteString("func cmpFlags(op bytecode.Op) (lt, eq, gt, ok bool) {\n")
-	b.WriteString("\tswitch op {\n")
-	var cmps []string
-	for _, o := range table {
-		if o.Group == "intcmp" {
-			cmps = append(cmps, "bytecode."+o.Enum)
-		}
-	}
-	fmt.Fprintf(&b, "\tcase %s:\n", strings.Join(cmps, ", "))
-	b.WriteString("\t\treturn intCmp(op, 0, 1), intCmp(op, 0, 0), intCmp(op, 1, 0), true\n")
-	b.WriteString("\t}\n\treturn false, false, false, false\n}\n\n")
-
-	b.WriteString("// cmpJumpFlags folds a compare-and-branch's taken/not-taken sense into the\n")
-	b.WriteString("// comparison's three-region truth table: the returned booleans say \"take\n")
-	b.WriteString("// the branch\" directly for a<b, a==b, and a>b.\n")
-	b.WriteString("func cmpJumpFlags(op bytecode.Op, want bool) (jlt, jeq, jgt bool) {\n")
-	b.WriteString("\tlt, eq, gt, _ := cmpFlags(op)\n")
-	b.WriteString("\treturn lt == want, eq == want, gt == want\n}\n\n")
 
 	// Kernels for the pure ops outside any scalar group.
 	for _, o := range table {

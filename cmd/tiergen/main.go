@@ -1,5 +1,6 @@
-// Command tiergen generates the four-tier interpreter stack from the
-// single declarative op specification in internal/opspec.
+// Command tiergen generates the three-tier interpreter stack (accounted
+// switch, fused plan, register traces) from the single declarative op
+// specification in internal/opspec.
 //
 // One spec entry per opcode — mnemonic, stack effect, operand kind,
 // cycle cost, semantics expression, trap clauses — is expanded into:
@@ -16,15 +17,13 @@
 //     per-instruction switch and the fused plan's micro-op switch, with
 //     per-op arms generated from the spec and the tier scaffolding
 //     (frame handling, sampling, OSR glue) spliced in from templates;
-//   - internal/interp/closure_gen.go: the closure constructors of every
-//     plain (non-superinstruction) op of the closure-threaded tier;
 //   - internal/interp/regir_gen.go: the register-IR lowering table of the
 //     trace tier.
 //
 // The generated files are committed; regenerate with `go generate ./...`.
 // CI regenerates and fails on drift, so hand edits to generated files
 // cannot land silently. Adding an opcode is a spec-only change: append an
-// entry to internal/opspec and regenerate — all four tiers, the
+// entry to internal/opspec and regenerate — all three tiers, the
 // assembler, the verifier, and the cost ledgers pick it up.
 package main
 
@@ -95,7 +94,6 @@ func GeneratedFiles(table []opspec.Op) []File {
 		{Path: "internal/interp/sem_gen.go", Content: genSem(table)},
 		{Path: "internal/interp/fuse_gen.go", Content: genFuse(table)},
 		{Path: "internal/interp/engine_run_gen.go", Content: genEngineRun(table)},
-		{Path: "internal/interp/closure_gen.go", Content: genClosure(table)},
 		{Path: "internal/interp/regir_gen.go", Content: genRegir(table)},
 	}
 }

@@ -39,8 +39,8 @@ func TestGeneratedFilesCurrent(t *testing.T) {
 // in the expected package.
 func TestGeneratedFilesWellFormed(t *testing.T) {
 	files := GeneratedFiles(opspec.Table)
-	if len(files) != 6 {
-		t.Fatalf("generator emits %d files, want 6", len(files))
+	if len(files) != 5 {
+		t.Fatalf("generator emits %d files, want 5", len(files))
 	}
 	for _, f := range files {
 		src, err := format.Source([]byte(f.Content))

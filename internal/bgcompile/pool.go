@@ -1,16 +1,16 @@
 // Package bgcompile is the bounded background compilation pipeline of
 // the host substrate: a fixed worker pool fed by a priority queue of
-// plan-build jobs (interp.CompileJob), ordered by sampler count so the
-// hottest code compiles first, deduplicated in-flight by program
-// fingerprint × function × plan kind × mode so a thundering herd of
-// cold tenants triggers exactly one build, and bounded in depth with
+// trace-plan build jobs (interp.CompileJob), ordered by sampler count so
+// the hottest code compiles first, deduplicated in-flight by program
+// fingerprint × function × inline mode so a thundering herd of cold
+// tenants triggers exactly one build, and bounded in depth with
 // drop-lowest backpressure so a burst can never stall a submitting
 // engine or grow the heap without limit.
 //
-// Determinism: a job builds a closure or register-trace plan and
-// CAS-installs it into the owning Code's plan slot. Which host tier
-// executes an iteration is never a virtual observable (the difftest
-// soaks prove all tiers bit-identical), so the wall-clock-racy moment
+// Determinism: a job builds a register-trace plan and CAS-installs it
+// into the owning Code's plan slot. Which host tier executes an
+// iteration is never a virtual observable (the difftest soaks prove all
+// tiers bit-identical), so the wall-clock-racy moment
 // at which a background install lands changes only host speed — replay
 // stays byte-identical with the pool on or off. See DESIGN.md §15.
 package bgcompile
@@ -34,12 +34,11 @@ const DefaultDepth = 256
 
 // jobKey identifies a build for in-flight deduplication: two Codes with
 // equal fingerprints execute identically, so one build per
-// (fingerprint, fn, kind, mode) suffices no matter how many tenants
+// (fingerprint, fn, mode) suffices no matter how many tenants
 // submit it.
 type jobKey struct {
 	fp   uint64
 	fn   int
-	kind interp.CompileKind
 	mode bool
 }
 
@@ -96,8 +95,8 @@ type Pool struct {
 	deduped      atomic.Int64
 	highWater    atomic.Int64
 
-	// hist[kind] is the per-kind build-time histogram (log2 ns buckets).
-	hist [2]histogram
+	// hist is the trace-build time histogram (log2 ns buckets).
+	hist histogram
 }
 
 // NewPool starts a pool of the given worker count (0: half the
@@ -128,14 +127,14 @@ func NewPool(workers, depth int) *Pool {
 }
 
 // Submit enqueues one build without ever blocking the caller. A job
-// already in flight for the same (fingerprint, fn, kind, mode) is
+// already in flight for the same (fingerprint, fn, mode) is
 // dedup-suppressed; when the queue is full, the lowest-priority pending
 // build is shed to make room (or the incoming job itself, when it is the
 // coldest). Shed and suppressed jobs are Discarded so the owning engine
 // can re-enqueue at its next promotion attempt.
 func (p *Pool) Submit(job interp.CompileJob) {
 	p.enqueued.Add(1)
-	key := jobKey{fp: job.Code.Fingerprint(), fn: job.Code.FnIdx, kind: job.Kind, mode: job.Mode}
+	key := jobKey{fp: job.Code.Fingerprint(), fn: job.Code.FnIdx, mode: job.Mode}
 
 	p.mu.Lock()
 	if p.closed {
@@ -201,7 +200,7 @@ func (p *Pool) worker() {
 
 		start := time.Now()
 		won := e.job.Build()
-		p.hist[e.key.kind&1].note(time.Since(start).Nanoseconds())
+		p.hist.note(time.Since(start).Nanoseconds())
 		if won {
 			p.built.Add(1)
 		} else {
@@ -252,7 +251,7 @@ func (p *Pool) Close() {
 	p.mu.Unlock()
 }
 
-// BuildTimes summarizes one plan kind's build-duration histogram.
+// BuildTimes summarizes a build-duration histogram.
 // Quantiles are log2-bucket upper bounds: exact enough to spot a
 // regression, cheap enough to sample every build.
 type BuildTimes struct {
@@ -285,8 +284,7 @@ type Stats struct {
 	Dropped      int64 `json:"dropped"`
 	Deduped      int64 `json:"deduped"`
 
-	Closure BuildTimes `json:"closure_build"`
-	Trace   BuildTimes `json:"trace_build"`
+	Trace BuildTimes `json:"trace_build"`
 }
 
 // Stats snapshots the pool's counters.
@@ -305,8 +303,7 @@ func (p *Pool) Stats() Stats {
 		LostInstalls:   p.lostInstalls.Load(),
 		Dropped:        p.dropped.Load(),
 		Deduped:        p.deduped.Load(),
-		Closure:        p.hist[interp.CompileClosure].snapshot(),
-		Trace:          p.hist[interp.CompileTrace].snapshot(),
+		Trace:          p.hist.snapshot(),
 	}
 }
 

@@ -57,8 +57,8 @@ func stoppedPool(depth int) *Pool {
 	return p
 }
 
-func job(c *interp.Code, kind interp.CompileKind, mode bool, pri int64) interp.CompileJob {
-	return interp.CompileJob{Code: c, Kind: kind, Mode: mode, Priority: pri}
+func job(c *interp.Code, mode bool, pri int64) interp.CompileJob {
+	return interp.CompileJob{Code: c, Mode: mode, Priority: pri}
 }
 
 func TestSubmitDedupInFlight(t *testing.T) {
@@ -68,15 +68,14 @@ func TestSubmitDedupInFlight(t *testing.T) {
 		t.Fatal("test codes should fingerprint identically")
 	}
 
-	p.Submit(job(a, interp.CompileClosure, true, 2))
-	p.Submit(job(a, interp.CompileClosure, true, 3))  // same code again
-	p.Submit(job(b, interp.CompileClosure, true, 4))  // distinct code, same fingerprint
-	p.Submit(job(a, interp.CompileClosure, false, 2)) // different mode: not a dup
-	p.Submit(job(a, interp.CompileTrace, true, 2))    // different kind: not a dup
+	p.Submit(job(a, true, 2))
+	p.Submit(job(a, true, 3))  // same code again
+	p.Submit(job(b, true, 4))  // distinct code, same fingerprint
+	p.Submit(job(a, false, 2)) // different mode: not a dup
 
 	st := p.Stats()
-	if st.Enqueued != 5 || st.Deduped != 2 || st.QueueLen != 3 {
-		t.Fatalf("enqueued=%d deduped=%d queue=%d, want 5/2/3", st.Enqueued, st.Deduped, st.QueueLen)
+	if st.Enqueued != 4 || st.Deduped != 2 || st.QueueLen != 2 {
+		t.Fatalf("enqueued=%d deduped=%d queue=%d, want 4/2/2", st.Enqueued, st.Deduped, st.QueueLen)
 	}
 }
 
@@ -86,7 +85,7 @@ func TestSubmitBackpressure(t *testing.T) {
 		c := testCode(t)
 		// Unique FnIdx defeats fingerprint dedup so only depth applies.
 		c.FnIdx = int(pri)
-		return job(c, interp.CompileClosure, true, pri)
+		return job(c, true, pri)
 	}
 	p.Submit(mk(1))
 	p.Submit(mk(2))
@@ -110,7 +109,7 @@ func TestPriorityOrderHottestFirst(t *testing.T) {
 	for i, pri := range []int64{1, 5, 3, 5} {
 		c := testCode(t)
 		c.FnIdx = i
-		p.Submit(job(c, interp.CompileClosure, true, pri))
+		p.Submit(job(c, true, pri))
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -137,22 +136,24 @@ func TestBuildInstallsAndHighWater(t *testing.T) {
 	pool := NewPool(2, 8)
 	defer pool.Close()
 	c := testCode(t)
-	pool.Submit(job(c, interp.CompileClosure, true, 2))
-	pool.Submit(job(c, interp.CompileTrace, true, 2))
+	pool.Submit(job(c, false, 2))
+	pool.Submit(job(c, true, 2))
 	pool.Drain()
 
 	st := pool.Stats()
 	if st.Built != 2 || st.LostInstalls != 0 {
 		t.Fatalf("built=%d lost=%d, want 2/0", st.Built, st.LostInstalls)
 	}
-	if !c.TraceReady() {
-		t.Fatal("trace plan not installed after drain")
+	for _, inline := range []bool{false, true} {
+		if heads, _, _ := c.TraceInfo(inline); heads == 0 {
+			t.Fatalf("inline=%v trace plan not installed after drain", inline)
+		}
 	}
 	if st.QueueHighWater < 1 {
 		t.Fatalf("high water %d, want >= 1", st.QueueHighWater)
 	}
-	if st.Trace.Count != 1 || st.Closure.Count != 1 {
-		t.Fatalf("histogram counts closure=%d trace=%d, want 1/1", st.Closure.Count, st.Trace.Count)
+	if st.Trace.Count != 2 {
+		t.Fatalf("trace build histogram count %d, want 2", st.Trace.Count)
 	}
 }
 
@@ -163,7 +164,7 @@ func TestCloseDrainsQueuedWork(t *testing.T) {
 		c := testCode(t)
 		c.FnIdx = i
 		codes = append(codes, c)
-		pool.Submit(job(c, interp.CompileTrace, true, int64(i)))
+		pool.Submit(job(c, true, int64(i)))
 	}
 	pool.Close() // graceful: everything accepted must still build
 
@@ -177,7 +178,7 @@ func TestCloseDrainsQueuedWork(t *testing.T) {
 		}
 	}
 	// Submit after Close drops without building.
-	pool.Submit(job(testCode(t), interp.CompileClosure, true, 1))
+	pool.Submit(job(testCode(t), true, 1))
 	if st := pool.Stats(); st.Dropped != 1 {
 		t.Fatalf("post-close dropped=%d, want 1", st.Dropped)
 	}
@@ -203,7 +204,7 @@ func TestCounterConservation(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				c := shared[(g+i)%len(shared)]
-				pool.Submit(job(c, interp.CompileKind(i%2), i%3 == 0, int64(i%7)))
+				pool.Submit(job(c, i%3 == 0, int64(i%7)))
 			}
 		}(g)
 	}

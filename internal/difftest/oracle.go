@@ -132,9 +132,9 @@ func RunTier(prog *bytecode.Program, level int, gcCfg gc.Config, maxCycles int64
 }
 
 // RunTierConfigured is RunTier with an engine-configuration hook applied
-// before execution. The substrate suites use it to toggle the host
-// performance layer (batching, fusion) and prove the resulting Execs —
-// including cycle ledgers and sample profiles — are bit-identical.
+// before execution. The substrate suites use it to run every host tier
+// mode and prove the resulting Execs — including cycle ledgers and
+// sample profiles — are bit-identical.
 func RunTierConfigured(prog *bytecode.Program, level int, gcCfg gc.Config, maxCycles int64,
 	slots []int, input []bytecode.Value, configure func(*interp.Engine)) (*Exec, error) {
 

@@ -191,28 +191,17 @@ func TestRegWindowEdges(t *testing.T) {
 				if ed.config != nil {
 					ed.config(e)
 				}
-				if mode != nil {
-					mode(e)
-				}
+				mode(e)
 			}
 		}
 		before := interp.ReadTraceStats()
 		for level := jit.MinLevel; level <= jit.MaxLevel; level++ {
-			ref, err := RunTierConfigured(ed.prog, level, ed.gc, runCap, slots, input,
-				then(substrateModes[0].configure))
-			if err != nil {
-				t.Fatalf("%s level %d: %v", ed.name, level, err)
-			}
+			ref := checkModes(t, fmt.Sprintf("%s level %d", ed.name, level),
+				func(configure func(*interp.Engine)) (*Exec, error) {
+					return RunTierConfigured(ed.prog, level, ed.gc, runCap, slots, input, then(configure))
+				})
 			if ref.Trap != "" {
 				t.Fatalf("%s level %d: reference trapped: %s", ed.name, level, ref.Trap)
-			}
-			for _, mode := range substrateModes[1:] {
-				got, err := RunTierConfigured(ed.prog, level, ed.gc, runCap, slots, input,
-					then(withEagerReg(mode.configure)))
-				if err != nil {
-					t.Fatalf("%s level %d mode %s: %v", ed.name, level, mode.name, err)
-				}
-				execBitIdentical(t, fmt.Sprintf("%s level %d mode %s", ed.name, level, mode.name), ref, got)
 			}
 		}
 		if ed.deopts && interp.ReadTraceStats().InlineDeopts == before.InlineDeopts {

@@ -7,6 +7,7 @@ import (
 
 	"evolvevm/internal/exec"
 	"evolvevm/internal/harness"
+	"evolvevm/internal/interp"
 	"evolvevm/internal/programs"
 	"evolvevm/internal/serve"
 	"evolvevm/internal/traffic"
@@ -25,20 +26,6 @@ func programByName(t *testing.T, name string) *programs.Benchmark {
 // same multi-tenant trace served on every host execution tier must
 // produce byte-identical virtual outcomes, and the serve path must agree
 // with a direct interpreter-harness oracle run outside the server.
-
-// serveTiers pins the serving front end onto each of the four host
-// execution tiers: the original per-instruction switch, the fused
-// batching switch, the closure-threaded tier, and the register-converted
-// trace tier (entered eagerly so short serving runs reach it).
-var serveTiers = []struct {
-	name string
-	sub  exec.Substrate
-}{
-	{"switch", exec.Substrate{NoBatching: true}},
-	{"fused", exec.Substrate{NoClosures: true, NoRegTier: true}},
-	{"closure", exec.Substrate{NoRegTier: true}},
-	{"reg", exec.Substrate{EagerRegTier: true}},
-}
 
 // soakTrace is the shared serving workload: three tenants over two
 // input-sensitive benchmarks, dense arrivals, no deadlines.
@@ -87,9 +74,9 @@ func serveTrace(t *testing.T, cfg serve.Config, tr *traffic.Trace) []traffic.Out
 }
 
 // TestServeSoakAcrossHostTiers serves one trace under the Evolve
-// scenario on all four host tiers plus the production default and
-// asserts every virtual outcome — status, trap, cycles, and the full
-// response checksum (which folds the result value and the prediction
+// scenario in every tier mode (interp.TierModes) and under the
+// production default and asserts every virtual outcome — status, trap,
+// cycles, and the full response checksum (which folds the result value and the prediction
 // bit) — is identical. The host execution tier must be unobservable
 // through the entire serving stack: admission, chain scheduling, epoch
 // barriers, shared-tier seeding, and the learner itself.
@@ -104,19 +91,20 @@ func TestServeSoakAcrossHostTiers(t *testing.T) {
 	if len(ref) != requests {
 		t.Fatalf("reference served %d outcomes, want %d", len(ref), requests)
 	}
-	for _, tier := range serveTiers {
-		got := serveTrace(t, serveSoakConfig(benches, harness.ScenarioEvolve, tier.sub), tr)
+	modes := interp.TierModes()
+	for _, m := range modes {
+		got := serveTrace(t, serveSoakConfig(benches, harness.ScenarioEvolve, exec.ModeSubstrate(m)), tr)
 		if len(got) != len(ref) {
-			t.Fatalf("tier %s: %d outcomes, want %d", tier.name, len(got), len(ref))
+			t.Fatalf("mode %s: %d outcomes, want %d", m.Name, len(got), len(ref))
 		}
 		for i := range ref {
 			if ref[i] != got[i] {
-				t.Fatalf("tier %s: seq %d diverged from full substrate:\nref: %+v\ngot: %+v",
-					tier.name, ref[i].Seq, ref[i], got[i])
+				t.Fatalf("mode %s: seq %d diverged from the production substrate:\nref: %+v\ngot: %+v",
+					m.Name, ref[i].Seq, ref[i], got[i])
 			}
 		}
 	}
-	t.Logf("serve soak: %d outcomes bit-identical across %d host tiers", len(ref), len(serveTiers)+1)
+	t.Logf("serve soak: %d outcomes bit-identical across %d tier modes", len(ref), len(modes))
 }
 
 // TestServeSoakMatchesDirectOracle serves a trace under the Null
@@ -124,8 +112,8 @@ func TestServeSoakAcrossHostTiers(t *testing.T) {
 // function of (benchmark, input) — and checks each outcome against a
 // direct harness run that never touches the server: same program, same
 // corpus, no pool, no admission, no session. Any disagreement means the
-// serving stack itself perturbed an execution. The oracle leg repeats on
-// every host tier, so a tier-specific serving bug cannot hide behind the
+// serving stack itself perturbed an execution. The oracle leg repeats in
+// every tier mode, so a tier-specific serving bug cannot hide behind the
 // tier-invariance test above.
 func TestServeSoakMatchesDirectOracle(t *testing.T) {
 	requests := 32
@@ -134,7 +122,7 @@ func TestServeSoakMatchesDirectOracle(t *testing.T) {
 	}
 	tr, benches := soakTrace(t, requests)
 
-	// Direct oracle: one runner per benchmark at the default substrate.
+	// Direct oracle: one runner per benchmark at the production substrate.
 	type oracleKey struct {
 		bench string
 		input int
@@ -162,21 +150,18 @@ func TestServeSoakMatchesDirectOracle(t *testing.T) {
 		oracle[key] = res
 	}
 
-	for _, tier := range append([]struct {
-		name string
-		sub  exec.Substrate
-	}{{"full", exec.Substrate{}}}, serveTiers...) {
-		out := serveTrace(t, serveSoakConfig(benches, harness.ScenarioNull, tier.sub), tr)
+	for _, tier := range interp.TierModes() {
+		out := serveTrace(t, serveSoakConfig(benches, harness.ScenarioNull, exec.ModeSubstrate(tier)), tr)
 		for i, o := range out {
 			req := tr.Requests[i]
 			if o.Seq != req.Seq {
-				t.Fatalf("tier %s: outcome %d has seq %d, want %d", tier.name, i, o.Seq, req.Seq)
+				t.Fatalf("tier %s: outcome %d has seq %d, want %d", tier.Name, i, o.Seq, req.Seq)
 			}
 			r := runners[req.Bench]
 			idx := ((req.Input % len(r.Inputs)) + len(r.Inputs)) % len(r.Inputs)
 			want := oracle[oracleKey{req.Bench, idx}]
 			ctx := fmt.Sprintf("tier %s seq %d %s/%s input %s",
-				tier.name, o.Seq, req.Tenant, req.Bench, r.Inputs[idx].ID)
+				tier.Name, o.Seq, req.Tenant, req.Bench, r.Inputs[idx].ID)
 			wantStatus := traffic.StatusOK
 			if want.Trap != "" {
 				wantStatus = traffic.StatusTrap
@@ -190,5 +175,5 @@ func TestServeSoakMatchesDirectOracle(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("serve soak: %d outcomes match the direct oracle on all host tiers", len(tr.Requests))
+	t.Logf("serve soak: %d outcomes match the direct oracle in every tier mode", len(tr.Requests))
 }

@@ -2,107 +2,47 @@ package difftest
 
 import (
 	"fmt"
-	"os"
 	"reflect"
-	"sync"
 	"testing"
 
 	"evolvevm/internal/aos"
 	"evolvevm/internal/bgcompile"
+	"evolvevm/internal/exec"
 	"evolvevm/internal/gc"
 	"evolvevm/internal/interp"
 	"evolvevm/internal/jit"
 	"evolvevm/internal/vm"
 )
 
-// This file proves the host performance layer — superinstruction fusion,
-// block-batched cycle accounting, and the cross-run code cache — is
-// unobservable in virtual terms: every ledger, sample profile, trap, and
-// heap cell is bit-identical with the substrate on, partially on, and off.
+// This file proves the host performance layer — every host tier, the
+// register tier's stress paths, background compilation, and the
+// cross-run code cache — is unobservable in virtual terms: every ledger,
+// sample profile, trap, and heap cell is bit-identical under every tier
+// mode.
 //
 // Unlike the cross-tier oracle, these comparisons do NOT skip
 // resource-trapped runs: a cycle-limit trap must fire at the identical
 // instruction under every substrate mode, so trapped executions are
 // compared bit-for-bit like completed ones.
 
-// substrateModes enumerates the metamorphic ladder: the original
-// per-instruction loop, batching without fusion, the full fused switch,
-// the closure-threaded tier (eager, so every tier from baseline up is
-// threaded from the first instruction), fused and unfused, and the
-// register-converted trace tier (eager, entered from the first back-edge
-// arrival), again fused and unfused. "full" leaves closures and traces on
-// their production hotness gates, so it also covers mid-run promotion
-// from the fused switch to the threaded and register forms.
-var substrateModes = []struct {
-	name      string
-	configure func(*interp.Engine)
-}{
-	{"off", func(e *interp.Engine) { e.DisableBatching = true }},
-	{"batch-nofuse", func(e *interp.Engine) { e.DisableFusion = true; e.DisableClosures = true; e.DisableRegTier = true }},
-	{"full", nil},
-	{"closure", func(e *interp.Engine) { e.EagerClosures = true; e.DisableRegTier = true }},
-	{"closure-nofuse", func(e *interp.Engine) { e.EagerClosures = true; e.DisableFusion = true; e.DisableRegTier = true }},
-	{"noclosure", func(e *interp.Engine) { e.DisableClosures = true }},
-	{"reg", func(e *interp.Engine) { e.EagerRegTier = true }},
-	{"reg-nofuse", func(e *interp.Engine) { e.EagerRegTier = true; e.DisableFusion = true }},
-	{"reg-noclosure", func(e *interp.Engine) { e.EagerRegTier = true; e.DisableClosures = true }},
-	{"noreg", func(e *interp.Engine) { e.DisableRegTier = true }},
-	// OSR / deopt / inlining ladder: forced mid-iteration entry at every
-	// OSR point, forced deoptimization back to the accounted loop after a
-	// single trace iteration (every exit boundary's state mapping fires),
-	// OSR disabled entirely (loop-head entries only), and CALL inlining
-	// refused (traces degrade at calls, pre-inlining behaviour).
-	{"osr-eager", func(e *interp.Engine) { e.EagerRegTier = true; e.EagerOSR = true }},
-	{"osr-deopt", func(e *interp.Engine) { e.EagerRegTier = true; e.EagerOSR = true; e.StressDeopt = true }},
-	{"noosr", func(e *interp.Engine) { e.EagerRegTier = true; e.DisableOSR = true }},
-	{"noinline", func(e *interp.Engine) { e.EagerRegTier = true; e.DisableCallInline = true }},
-}
+// substrateModes is the generated host-tier product (interp.TierModes):
+// every ceiling below register, the register ceiling under each valid
+// stress set, and background compilation on the non-eager register
+// modes. "register" leaves traces on their production hotness gates, so
+// it also covers mid-run promotion from the fused switch to the register
+// form. substrateModes[0], the switch ceiling, is every soak's reference.
+var substrateModes = interp.TierModes()
 
-// withEagerReg layers the CI force-enable knobs over a mode: when
-// EVOLVEVM_EAGER_REGTIER is set, every mode that leaves the register tier
-// enabled enters traces eagerly, so the soak exercises the register
-// executor on all generated code rather than only on loops that cross the
-// hotness thresholds; EVOLVEVM_EAGER_OSR additionally forces OSR entry at
-// every mid-loop entry point. EVOLVEVM_ASYNC_COMPILE attaches a shared
-// background compilation pool to every engine, so the whole mode ladder
-// reruns with plans built by pool workers and CAS-installed mid-run
-// (eager modes still build inline — they need plans before the first
-// instruction). Modes that disable a tier (or batching entirely) are
-// unaffected — their configure runs last and wins.
-func withEagerReg(configure func(*interp.Engine)) func(*interp.Engine) {
-	eagerReg := os.Getenv("EVOLVEVM_EAGER_REGTIER") != ""
-	eagerOSR := os.Getenv("EVOLVEVM_EAGER_OSR") != ""
-	async := os.Getenv("EVOLVEVM_ASYNC_COMPILE") != ""
-	if !eagerReg && !eagerOSR && !async {
-		return configure
-	}
+// modeConfig configures an engine for one tier mode. Async modes share
+// the exec layer's process-wide compilation pool, so plans are built by
+// pool workers and CAS-installed mid-run.
+func modeConfig(m interp.TierMode) func(*interp.Engine) {
 	return func(e *interp.Engine) {
-		if eagerReg {
-			e.EagerRegTier = true
-		}
-		if eagerOSR {
-			e.EagerOSR = true
-		}
-		if async {
-			e.BgCompile = sharedAsyncPool()
-		}
-		if configure != nil {
-			configure(e)
+		e.Tiers = m.Tiers
+		if m.Async {
+			e.BgCompile = exec.DefaultCompilePool()
 		}
 	}
-}
-
-// sharedAsyncPool lazily builds the one background compilation pool the
-// env-layered soak passes share. Never closed: it lives for the test
-// process, like the exec layer's default pool.
-var (
-	asyncPoolOnce sync.Once
-	asyncPool     *bgcompile.Pool
-)
-
-func sharedAsyncPool() *bgcompile.Pool {
-	asyncPoolOnce.Do(func() { asyncPool = bgcompile.NewPool(0, 0) })
-	return asyncPool
 }
 
 // execDiff reports how two Execs diverge in any observable — semantic
@@ -133,39 +73,53 @@ func execBitIdentical(t *testing.T, ctx string, ref, got *Exec) {
 	}
 }
 
-// TestSubstrateBitIdentical runs generated programs at every tier with
-// the substrate off (reference), batched-unfused, and fully on, asserting
+// soakSeeds returns the generator seeds of a soak over n seeds, or just
+// the -difftest.seed one.
+func soakSeeds(n int64) []int64 {
+	if *seedFlag >= 0 {
+		return []int64{*seedFlag}
+	}
+	seeds := make([]int64, n)
+	for s := range seeds {
+		seeds[s] = int64(s)
+	}
+	return seeds
+}
+
+// checkModes runs one execution under every tier mode and asserts each
+// is bit-identical to the switch-ceiling reference, which it returns.
+// run executes under the given engine configuration.
+func checkModes(t *testing.T, ctx string, run func(configure func(*interp.Engine)) (*Exec, error)) *Exec {
+	t.Helper()
+	ref, err := run(modeConfig(substrateModes[0]))
+	if err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	for _, mode := range substrateModes[1:] {
+		got, err := run(modeConfig(mode))
+		if err != nil {
+			t.Fatalf("%s mode %s: %v", ctx, mode.Name, err)
+		}
+		execBitIdentical(t, ctx+" mode "+mode.Name, ref, got)
+	}
+	return ref
+}
+
+// TestSubstrateBitIdentical runs generated programs at every jit level
+// under every tier mode against the switch ceiling, asserting
 // bit-identical Execs — including runs that trap, resource limits
 // included.
 func TestSubstrateBitIdentical(t *testing.T) {
-	n := int64(soakN(t) / 5) // 400 seeds in full mode, 20 under -short
-	seeds := make([]int64, 0, n)
-	if *seedFlag >= 0 {
-		seeds = append(seeds, *seedFlag)
-	} else {
-		for s := int64(0); s < n; s++ {
-			seeds = append(seeds, s)
-		}
-	}
 	var checked int
-	for _, seed := range seeds {
+	for _, seed := range soakSeeds(int64(soakN(t) / 5)) { // 400 seeds in full mode, 20 under -short
 		g := genFor(seed)
 		for k, input := range g.Inputs {
 			for level := jit.MinLevel; level <= jit.MaxLevel; level++ {
-				ref, err := RunTierConfigured(g.Prog, level, gc.Config{}, preCap,
-					g.NumericGlobals, input, substrateModes[0].configure)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				for _, mode := range substrateModes[1:] {
-					got, err := RunTierConfigured(g.Prog, level, gc.Config{}, preCap,
-						g.NumericGlobals, input, withEagerReg(mode.configure))
-					if err != nil {
-						t.Fatalf("seed %d mode %s: %v", seed, mode.name, err)
-					}
-					ctx := fmt.Sprintf("seed %d input %d level %d mode %s", seed, k, level, mode.name)
-					execBitIdentical(t, ctx, ref, got)
-				}
+				checkModes(t, fmt.Sprintf("seed %d input %d level %d", seed, k, level),
+					func(configure func(*interp.Engine)) (*Exec, error) {
+						return RunTierConfigured(g.Prog, level, gc.Config{}, preCap,
+							g.NumericGlobals, input, configure)
+					})
 				checked++
 			}
 		}
@@ -178,70 +132,49 @@ func TestSubstrateBitIdentical(t *testing.T) {
 }
 
 // TestSubstrateAsyncCompile holds background tier compilation to the
-// bit-identity bar: runs whose closure and trace plans are built by pool
-// workers and CAS-installed at arbitrary wall-clock moments mid-run —
-// including several submitters racing each other on one pool, where
-// in-flight dedup leaves some runs executing in lower tiers the whole
-// way — must match the serial sync-compile oracle in every observable.
-// At drain, the pool's flow must conserve: every submit accounted as
-// exactly one of built, lost-install, dropped, or deduped.
+// bit-identity bar under contention: four submitters race each other on
+// one pool, where in-flight dedup leaves some runs executing in lower
+// tiers the whole way while workers CAS-install trace plans at arbitrary
+// wall-clock moments, and every run must match the serial sync-compile
+// oracle in every observable. (A single async run per level is the
+// product's async modes in TestSubstrateBitIdentical.) At drain, the
+// pool's flow must conserve: every submit accounted as exactly one of
+// built, lost-install, dropped, or deduped.
 func TestSubstrateAsyncCompile(t *testing.T) {
 	pool := bgcompile.NewPool(2, 32)
 	defer pool.Close()
-	syncOracle := func(e *interp.Engine) { e.SyncCompile = true }
 	async := func(e *interp.Engine) { e.BgCompile = pool }
 
-	n := int64(soakN(t) / 10) // 200 seeds in full mode, 10 under -short
-	seeds := make([]int64, 0, n)
-	if *seedFlag >= 0 {
-		seeds = append(seeds, *seedFlag)
-	} else {
-		for s := int64(0); s < n; s++ {
-			seeds = append(seeds, s)
-		}
-	}
 	var checked int
-	for _, seed := range seeds {
+	for _, seed := range soakSeeds(int64(soakN(t) / 10)) { // 200 seeds in full mode, 10 under -short
 		g := genFor(seed)
 		for k, input := range g.Inputs {
-			for level := jit.MinLevel; level <= jit.MaxLevel; level++ {
-				ref, err := RunTierConfigured(g.Prog, level, gc.Config{}, preCap,
-					g.NumericGlobals, input, syncOracle)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				got, err := RunTierConfigured(g.Prog, level, gc.Config{}, preCap,
-					g.NumericGlobals, input, async)
-				if err != nil {
-					t.Fatalf("seed %d async: %v", seed, err)
-				}
-				ctx := fmt.Sprintf("seed %d input %d level %d async", seed, k, level)
-				execBitIdentical(t, ctx, ref, got)
-
-				// Concurrent-submitter leg (top tier only, where every plan
-				// kind is in play): four goroutines run the same execution
-				// against the shared pool while its workers install plans.
-				if level == jit.MaxLevel {
-					errc := make(chan error, 4)
-					for w := 0; w < 4; w++ {
-						go func() {
-							got, err := RunTierConfigured(g.Prog, level, gc.Config{}, preCap,
-								g.NumericGlobals, input, async)
-							if err != nil {
-								errc <- err
-								return
-							}
-							errc <- execDiff(ref, got)
-						}()
-					}
-					for w := 0; w < 4; w++ {
-						if err := <-errc; err != nil {
-							t.Fatalf("%s (concurrent): %v", ctx, err)
-						}
-					}
-				}
-				checked++
+			// The top level is where the sampler gate promotes code soonest.
+			run := func(configure func(*interp.Engine)) (*Exec, error) {
+				return RunTierConfigured(g.Prog, jit.MaxLevel, gc.Config{}, preCap,
+					g.NumericGlobals, input, configure)
 			}
+			ref, err := run(nil)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			errc := make(chan error, 4)
+			for w := 0; w < 4; w++ {
+				go func() {
+					got, err := run(async)
+					if err != nil {
+						errc <- err
+						return
+					}
+					errc <- execDiff(ref, got)
+				}()
+			}
+			for w := 0; w < 4; w++ {
+				if err := <-errc; err != nil {
+					t.Fatalf("seed %d input %d: concurrent async run: %v", seed, k, err)
+				}
+			}
+			checked += 4
 		}
 	}
 	pool.Drain()
@@ -276,21 +209,11 @@ func TestSubstrateBitIdenticalGC(t *testing.T) {
 		for k, input := range g.Inputs {
 			for _, cfg := range cfgs {
 				for level := jit.MinLevel; level <= jit.MaxLevel; level++ {
-					ref, err := RunTierConfigured(g.Prog, level, cfg, preCap,
-						g.NumericGlobals, input, substrateModes[0].configure)
-					if err != nil {
-						t.Fatalf("seed %d gc=%s: %v", seed, cfg.Policy, err)
-					}
-					for _, mode := range substrateModes[1:] {
-						got, err := RunTierConfigured(g.Prog, level, cfg, preCap,
-							g.NumericGlobals, input, withEagerReg(mode.configure))
-						if err != nil {
-							t.Fatalf("seed %d gc=%s mode %s: %v", seed, cfg.Policy, mode.name, err)
-						}
-						ctx := fmt.Sprintf("seed %d input %d gc=%s level %d mode %s",
-							seed, k, cfg.Policy, level, mode.name)
-						execBitIdentical(t, ctx, ref, got)
-					}
+					checkModes(t, fmt.Sprintf("seed %d input %d gc=%s level %d", seed, k, cfg.Policy, level),
+						func(configure func(*interp.Engine)) (*Exec, error) {
+							return RunTierConfigured(g.Prog, level, cfg, preCap,
+								g.NumericGlobals, input, configure)
+						})
 					checked++
 				}
 			}
@@ -372,7 +295,7 @@ func TestSubstrateMachine(t *testing.T) {
 			continue
 		}
 		ref := runMachine(t, g, seed, func(m *vm.Machine) {
-			m.Engine.DisableBatching = true
+			m.Engine.Tiers.Ceiling = interp.TierSwitch
 		})
 		full := runMachine(t, g, seed, func(m *vm.Machine) {
 			m.Compiler.UseShared(cache)

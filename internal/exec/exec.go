@@ -1,6 +1,6 @@
 // Package exec is the stateless per-run execution layer of the system:
 // it turns one immutable RunSpec — program, input binding, scenario
-// controller, jit/GC configuration, substrate switches — into one
+// controller, jit/GC configuration, host substrate — into one
 // RunOutcome. It holds no cross-run state of its own (that lives in
 // internal/session) and no experiment logic (internal/harness); a spec
 // may therefore be executed from any goroutine, and thousands of
@@ -36,62 +36,63 @@ import (
 	"evolvevm/internal/vm"
 )
 
-// Substrate toggles the host-performance mechanisms of a run. The zero
-// value enables everything; each switch exists so the determinism suites
-// can prove bit-identical virtual results with any combination disabled.
+// Substrate selects the host-performance mechanisms of a run. The zero
+// value is production: every tier, the shared code cache, and the
+// default compile mode. Every setting is host-side only; the determinism
+// suites prove virtual results bit-identical under each one.
 type Substrate struct {
-	NoCodeCache bool // skip the shared cross-run code cache
-	NoFusion    bool // batch blocks but without superinstruction fusion
-	NoBatching  bool // original per-instruction dispatch only
-	NoClosures  bool // fused switch only, no closure-threaded tier
-	NoRegTier   bool // no register-converted hot-loop traces
-
-	// EagerRegTier builds and enters register traces without any hotness
-	// gate, at every tier including baseline. The equivalence suites and
-	// CI use it to force the register tier over code that would otherwise
-	// stay below the promotion thresholds.
-	EagerRegTier bool
-
-	// NoOSR disables mid-iteration (on-stack replacement) trace entries;
-	// traces activate at loop heads only. EagerOSR activates OSR entry
-	// points without the parent trace's back-edge hotness gate (forced
-	// OSR entry, EVOLVEVM_EAGER_OSR in the difftest soak). ForcedDeopt
-	// makes every trace run deoptimize back to the accounted loop after
-	// one iteration, exercising the exit/re-entry state mapping on every
-	// boundary. NoCallInline refuses CALL during trace building (the
-	// pre-inlining per-loop degradation). All host-side only.
-	NoOSR        bool
-	EagerOSR     bool
-	ForcedDeopt  bool
-	NoCallInline bool
-
-	// AsyncCompile routes closure- and trace-plan builds through a
-	// background compilation pool (RunSpec.Compile when set, else the
-	// process-global DefaultCompilePool) instead of building them inline
-	// at the promotion point; the engine keeps executing in its current
-	// best tier until the built plan lands. The EVOLVEVM_ASYNC_COMPILE
-	// environment knob turns it on for every run that does not pin
-	// SyncCompile, which forces inline builds regardless — the
-	// equivalence suites use the pair to hold both modes to bit-identical
-	// virtual results. Host-side only, like every other switch here.
-	AsyncCompile bool
-	SyncCompile  bool
+	// Tiers is the engine's tier ceiling and stress set (interp.Tiers).
+	interp.Tiers
+	// NoCodeCache skips the shared cross-run code cache.
+	NoCodeCache bool
+	// Compile says where trace plans are built.
+	Compile CompileMode
 }
 
+// CompileMode says where a run builds its trace plans.
+type CompileMode uint8
+
+const (
+	// CompileDefault builds in the background when the run has a compile
+	// queue (RunSpec.Compile) or the EVOLVEVM_ASYNC_COMPILE environment
+	// knob is set, and inline otherwise.
+	CompileDefault CompileMode = iota
+	// CompileSync always builds inline at the promotion point; the
+	// equivalence suites use it to pin the synchronous oracle.
+	CompileSync
+	// CompileAsync always builds on a background compilation pool
+	// (RunSpec.Compile, else DefaultCompilePool), and the engine keeps
+	// executing in its current best tier until the built plan lands.
+	CompileAsync
+)
+
 // asyncCompileEnv caches the EVOLVEVM_ASYNC_COMPILE knob: set non-empty,
-// every run without Substrate.SyncCompile compiles through the
-// background pool, so CI can sweep the whole difftest and harness
-// matrix in async mode without touching each suite.
+// every run in CompileDefault mode compiles through the background pool.
 var asyncCompileEnv = os.Getenv("EVOLVEVM_ASYNC_COMPILE") != ""
 
-// AsyncCompileEnv reports whether the EVOLVEVM_ASYNC_COMPILE knob was
-// set at process start. Serving and test layers use it to decide whether
-// to attach their own compile pools.
-func AsyncCompileEnv() bool { return asyncCompileEnv }
+// Async reports whether runs under the substrate build plans in the
+// background without being handed a queue: CompileAsync, or
+// CompileDefault with the EVOLVEVM_ASYNC_COMPILE knob set. Serving uses
+// it to decide whether to attach its own compile pool.
+func (s Substrate) Async() bool {
+	return s.Compile == CompileAsync || (s.Compile == CompileDefault && asyncCompileEnv)
+}
+
+// ModeSubstrate returns the substrate that runs one equivalence-suite
+// tier mode: its tiers, built on the background pool when the mode is
+// async and pinned inline otherwise, so the environment knob cannot
+// change which mode a suite runs.
+func ModeSubstrate(m interp.TierMode) Substrate {
+	sub := Substrate{Tiers: m.Tiers, Compile: CompileSync}
+	if m.Async {
+		sub.Compile = CompileAsync
+	}
+	return sub
+}
 
 // defaultCompilePool is the lazily created process-global background
-// compilation pool used by batch runs (env knob or Substrate.AsyncCompile
-// without an explicit RunSpec.Compile). It lives for the process — batch
+// compilation pool used by batch runs (Substrate.Async without an
+// explicit RunSpec.Compile). It lives for the process — batch
 // drivers have no shutdown point, and an idle pool costs a few parked
 // goroutines.
 var (
@@ -149,8 +150,8 @@ type RunSpec struct {
 
 	// Compile, when non-nil, is the background compilation queue for this
 	// run's plan builds (the serving front end passes its per-server
-	// pool). Ignored under Substrate.SyncCompile; when nil, the
-	// AsyncCompile switch or env knob falls back to DefaultCompilePool.
+	// pool). Ignored under CompileSync; when nil, Substrate.Async falls
+	// back to DefaultCompilePool.
 	Compile interp.CompileQueue
 
 	// Controller builds the run's optimization controller once the machine
@@ -245,20 +246,11 @@ func RunInto(ctx context.Context, spec *RunSpec, out *RunOutcome) error {
 	}
 	m.SetContext(ctx)
 	m.Engine.GC = spec.GC
-	m.Engine.DisableBatching = spec.Substrate.NoBatching
-	m.Engine.DisableFusion = spec.Substrate.NoFusion
-	m.Engine.DisableClosures = spec.Substrate.NoClosures
-	m.Engine.DisableRegTier = spec.Substrate.NoRegTier
-	m.Engine.EagerRegTier = spec.Substrate.EagerRegTier
-	m.Engine.DisableOSR = spec.Substrate.NoOSR
-	m.Engine.EagerOSR = spec.Substrate.EagerOSR
-	m.Engine.StressDeopt = spec.Substrate.ForcedDeopt
-	m.Engine.DisableCallInline = spec.Substrate.NoCallInline
-	m.Engine.SyncCompile = spec.Substrate.SyncCompile
-	if !spec.Substrate.SyncCompile {
+	m.Engine.Tiers = spec.Substrate.Tiers
+	if spec.Substrate.Compile != CompileSync {
 		if spec.Compile != nil {
 			m.Engine.BgCompile = spec.Compile
-		} else if spec.Substrate.AsyncCompile || asyncCompileEnv {
+		} else if spec.Substrate.Async() {
 			m.Engine.BgCompile = DefaultCompilePool()
 		}
 	}

@@ -158,13 +158,13 @@ func TestSetupErrorWrapped(t *testing.T) {
 }
 
 // TestSubstrateTogglesBitIdentical: the same spec yields the same virtual
-// outcome with the host substrate fully on, unfused, and fully off, with
-// and without the shared code cache.
+// outcome at the switch, batched and register ceilings, with and without
+// the shared code cache.
 func TestSubstrateTogglesBitIdentical(t *testing.T) {
 	cache := jit.NewCache()
 	variants := []Substrate{
-		{NoCodeCache: true, NoFusion: true, NoBatching: true},
-		{NoFusion: true},
+		{NoCodeCache: true, Tiers: interp.Tiers{Ceiling: interp.TierSwitch}},
+		{Tiers: interp.Tiers{Ceiling: interp.TierBatched}},
 		{},
 	}
 	var ref *RunOutcome
@@ -187,5 +187,25 @@ func TestSubstrateTogglesBitIdentical(t *testing.T) {
 	}
 	if cache.Stats().Hits == 0 {
 		t.Error("shared code cache never hit across cached variants")
+	}
+}
+
+// TestZeroSubstrateIsProduction: the zero Substrate is the production
+// configuration — the register ceiling, no stress, the shared code
+// cache, and the default compile mode — and a run under it leaves the
+// engine at the same tiers.
+func TestZeroSubstrateIsProduction(t *testing.T) {
+	var sub Substrate
+	if sub.Ceiling != interp.TierRegister || sub.Stress != 0 || sub.NoCodeCache || sub.Compile != CompileDefault {
+		t.Fatalf("zero substrate %+v is not production", sub)
+	}
+	spec := loopSpec(t, 100)
+	var got interp.Tiers
+	spec.Inspect = func(m *vm.Machine) { got = m.Engine.Tiers }
+	if _, err := Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	if got != (interp.Tiers{}) {
+		t.Fatalf("engine ran with tiers %v, want the register ceiling with no stress", got)
 	}
 }

@@ -42,8 +42,8 @@ type Options struct {
 	// checkpoint/resume (expdriver -checkpoint/-resume). Nil runs with an
 	// ephemeral session.
 	Session *session.Session
-	// Substrate sets the host-performance toggles of every runner the
-	// experiment builds (zero value: everything on). Virtual results are
+	// Substrate sets the host-performance mechanisms of every runner the
+	// experiment builds (zero value: production). Virtual results are
 	// provably independent of it (the substrate equivalence suites); the
 	// benchmark variant columns use it to measure the host-side effect of
 	// individual tiers on whole experiments.
@@ -51,7 +51,7 @@ type Options struct {
 }
 
 // newRunner builds a runner for b with the experiment's substrate
-// toggles applied.
+// applied.
 func (o Options) newRunner(b *programs.Benchmark) (*Runner, error) {
 	r, err := NewRunner(b, o.corpusFor(b), o.Seed)
 	if err != nil {

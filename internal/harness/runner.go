@@ -46,9 +46,9 @@ var codeCache = jit.NewCache()
 // CLOCK eviction (internal/stripe) so concurrent serving requests that
 // replay the same baselines never serialize behind a recency update. A
 // reactive-controller run is a pure function of (benchmark, corpus seed
-// and size, input, jit tier table, gc config) — the substrate switches
+// and size, input, jit tier table, gc config) — the host substrate
 // provably cannot change a virtual observable (internal/difftest), so
-// they stay out of the key. Experiments re-measure the same baselines
+// it stays out of the key. Experiments re-measure the same baselines
 // from freshly built runners constantly (every figure, every benchmark
 // iteration); replaying the memoized outcome removes those redundant
 // host executions without changing a single reported number. Eviction
@@ -116,20 +116,20 @@ func BaselineCacheStats() jit.CacheStats {
 }
 
 // WarmCompiledPlans sweeps the process-wide code cache and enqueues
-// background builds for every cached form that has earned a host
-// execution plan (by level and sampler count) but does not yet carry it
-// in the given fusion/inline modes, returning the number of jobs
-// submitted. The serving front end calls this at epoch barriers so cold
-// tenants inherit compiled plans along with the published learned state;
-// plans build without a code table, so call-inlining trace builds are
-// deferred to the first executing engine (see interp.Code.WarmJobs).
-func WarmCompiledPlans(q interp.CompileQueue, fuse, inline bool) int {
+// background builds for every cached form that has earned a trace plan
+// (by level and sampler count) but does not yet carry it in the given
+// inline mode, returning the number of jobs submitted. The serving front
+// end calls this at epoch barriers so cold tenants inherit compiled
+// plans along with the published learned state; plans build without a
+// code table, so call-inlining trace builds are deferred to the first
+// executing engine (see interp.Code.WarmJob).
+func WarmCompiledPlans(q interp.CompileQueue, inline bool) int {
 	if q == nil {
 		return 0
 	}
 	n := 0
 	codeCache.Range(func(code *interp.Code) {
-		for _, job := range code.WarmJobs(fuse, inline, nil) {
+		if job, ok := code.WarmJob(inline, nil); ok {
 			q.Submit(job)
 			n++
 		}
@@ -219,8 +219,8 @@ type Runner struct {
 	// paper's main experiments). Used by the GC-selection extension.
 	GC gc.Config
 
-	// Substrate toggles the host-performance mechanisms (all default on;
-	// see exec.Substrate).
+	// Substrate selects the host-performance mechanisms (zero value:
+	// production; see exec.Substrate).
 	Substrate exec.Substrate
 
 	// State is the benchmark's cross-run state: the Evolve learner, the

@@ -2,68 +2,29 @@ package harness
 
 import (
 	"math/rand"
-	"os"
 	"reflect"
 	"testing"
 
 	"evolvevm/internal/exec"
+	"evolvevm/internal/interp"
 	"evolvevm/internal/programs"
 )
 
-// substrateVariant is one setting of the host-performance toggles.
-type substrateVariant struct {
-	name                                             string
-	noCache, noFusion, noBatching, noClosures, noReg bool
-	eagerReg                                         bool
-	noOSR, eagerOSR, forcedDeopt, noInline           bool
-	asyncCompile                                     bool
-}
-
-var substrateVariants = []substrateVariant{
-	{name: "off", noCache: true, noFusion: true, noBatching: true, noClosures: true, noReg: true},
-	{name: "nofuse", noFusion: true},
-	{name: "noclos", noClosures: true},
-	{name: "noreg", noReg: true},
-	{name: "reg", eagerReg: true},
-	{name: "osr-eager", eagerReg: true, eagerOSR: true},
-	{name: "osr-deopt", eagerReg: true, eagerOSR: true, forcedDeopt: true},
-	{name: "noosr", eagerReg: true, noOSR: true},
-	{name: "noinline", eagerReg: true, noInline: true},
-	{name: "async", asyncCompile: true},
-	{name: "full"},
-}
-
 // runVariant executes one benchmark sequence under a scenario with the
-// given substrate toggles, using a fresh runner (fresh Evolve/Rep state)
-// but the same deterministic corpus and order.
+// given substrate, using a fresh runner (fresh Evolve/Rep state) but the
+// same deterministic corpus and order.
 func runVariant(t *testing.T, b *programs.Benchmark, scenario Scenario,
-	v substrateVariant, corpus, runs int, seed int64) []*RunResult {
+	name string, sub exec.Substrate, corpus, runs int, seed int64) []*RunResult {
 	t.Helper()
 	r, err := NewRunner(b, corpus, seed)
 	if err != nil {
 		t.Fatalf("%s: %v", b.Name, err)
 	}
-	r.Substrate = exec.Substrate{
-		NoCodeCache: v.noCache, NoFusion: v.noFusion, NoBatching: v.noBatching,
-		NoClosures: v.noClosures, NoRegTier: v.noReg,
-		// The CI soak job force-enables the register tier (and OSR entries)
-		// everywhere they are not explicitly disabled, mirroring difftest's
-		// withEagerReg.
-		EagerRegTier: v.eagerReg || (os.Getenv("EVOLVEVM_EAGER_REGTIER") != "" && !v.noReg && !v.noBatching),
-		NoOSR:        v.noOSR,
-		EagerOSR:     v.eagerOSR || (os.Getenv("EVOLVEVM_EAGER_OSR") != "" && !v.noOSR && !v.noReg && !v.noBatching),
-		ForcedDeopt:  v.forcedDeopt,
-		NoCallInline: v.noInline,
-		// Background plan building moves tier promotion off the hot path;
-		// the "async" variant proves the ledger and results stay identical
-		// regardless of when (wall-clock) a plan lands. EVOLVEVM_ASYNC_COMPILE
-		// additionally layers a shared pool over every other variant via exec.
-		AsyncCompile: v.asyncCompile,
-	}
+	r.Substrate = sub
 	order := r.Order(rand.New(rand.NewSource(seed+7)), runs)
 	results, err := r.RunSequence(testCtx, scenario, order)
 	if err != nil {
-		t.Fatalf("%s under %s (%s): %v", b.Name, scenario, v.name, err)
+		t.Fatalf("%s under %s (%s): %v", b.Name, scenario, name, err)
 	}
 	return results
 }
@@ -102,12 +63,10 @@ func sameRunResult(t *testing.T, ctx string, ref, got *RunResult) {
 
 // TestSubstrateBenchmarksBitIdentical runs every benchmark of the suite
 // (plus the GC-selection extension) through Default, Rep, and Evolve
-// sequences with the substrate fully off, fusion disabled, closure-tier
-// disabled, register-tier disabled, register-tier eager, OSR forced /
-// stress-deopted / disabled, CALL inlining refused, and fully on
-// (hotness-promoted closures and traces included) — cross-run code cache
-// included — and asserts the recorded RunResults
-// are identical field for field. This is the harness-level counterpart
+// sequences in every tier mode — every ceiling, every valid stress set,
+// background compilation, hotness-promoted traces, and the cross-run
+// code cache — and asserts the recorded RunResults are identical field
+// for field to the uncached switch-ceiling reference. This is the harness-level counterpart
 // of the difftest substrate soak: it covers the real benchmark programs,
 // cross-run learning state, and the speedup bookkeeping.
 func TestSubstrateBenchmarksBitIdentical(t *testing.T) {
@@ -119,16 +78,20 @@ func TestSubstrateBenchmarksBitIdentical(t *testing.T) {
 		runs   = 8
 		seed   = 11
 	)
+	// The reference is the switch ceiling without the cross-run code
+	// cache; every generated tier mode runs with it.
+	refSub := exec.Substrate{Tiers: interp.Tiers{Ceiling: interp.TierSwitch},
+		NoCodeCache: true, Compile: exec.CompileSync}
 	for _, b := range benches {
 		for _, scenario := range scenarios {
-			ref := runVariant(t, b, scenario, substrateVariants[0], corpus, runs, seed)
-			for _, v := range substrateVariants[1:] {
-				got := runVariant(t, b, scenario, v, corpus, runs, seed)
+			ref := runVariant(t, b, scenario, "switch+nocache", refSub, corpus, runs, seed)
+			for _, m := range interp.TierModes() {
+				got := runVariant(t, b, scenario, m.Name, exec.ModeSubstrate(m), corpus, runs, seed)
 				if len(got) != len(ref) {
-					t.Fatalf("%s under %s (%s): %d results vs %d", b.Name, scenario, v.name, len(got), len(ref))
+					t.Fatalf("%s under %s (%s): %d results vs %d", b.Name, scenario, m.Name, len(got), len(ref))
 				}
 				for i := range ref {
-					ctx := b.Name + " under " + scenario.String() + " (" + v.name + ") run " + ref[i].InputID
+					ctx := b.Name + " under " + scenario.String() + " (" + m.Name + ") run " + ref[i].InputID
 					sameRunResult(t, ctx, ref[i], got[i])
 				}
 			}

@@ -52,22 +52,13 @@ type Code struct {
 	// code cache does exactly that).
 	plans [2]atomic.Pointer[plan]
 
-	// closures caches the closure-threaded forms of the plans (see
-	// closure.go), same slot convention. Built once hot, immutable after,
-	// shared exactly like plans — a Code that travels through jit.Cache
-	// carries its closure program to every later run.
-	closures [2]atomic.Pointer[closPlan]
-
 	// traces caches the register-converted hot-loop traces (trace.go,
-	// regir.go): slot 0 without CALL inlining, slot 1 with it. Trace
-	// conversion reads the raw instruction stream over the plan's segment
-	// geometry, which is identical with and without superinstruction
-	// fusion, so fused and unfused runs share one trace program per
-	// inline mode. Built once hot, immutable after, shared across engines
-	// and runs exactly like plans and closures — a Code cached in
-	// jit.Cache carries its register plans, OSR entry maps, and inline
-	// guards to every later run (the guards re-validate against each
-	// run's own code table, so a stale inlined body can never execute).
+	// regir.go): slot 0 without CALL inlining, slot 1 with it. Built
+	// once hot, immutable after, shared across engines and runs exactly
+	// like plans — a Code cached in jit.Cache carries its register plans,
+	// OSR entry maps, and inline guards to every later run (the guards
+	// re-validate against each run's own code table, so a stale inlined
+	// body can never execute).
 	traces [2]atomic.Pointer[tracePlan]
 
 	// fp caches Fingerprint (0 = not yet computed).
@@ -75,7 +66,7 @@ type Code struct {
 
 	// samples counts deterministic sampler ticks attributed to this code
 	// across every engine and run sharing it — the hotness signal that
-	// triggers the closure tier. Host-side only: the count never feeds
+	// triggers the register tier. Host-side only: the count never feeds
 	// back into any virtual observable.
 	samples atomic.Int64
 
@@ -87,49 +78,16 @@ type Code struct {
 	pending atomic.Uint32
 }
 
-// ClosureHotSamples is the number of sampler ticks after which an
-// optimized Code (level ≥ 0) is closure-threaded. One tick equals a full
+// TraceHotSamples is the sampler-tick threshold after which an optimized
+// Code's loops are register-converted (trace.go). One tick equals a full
 // sample stride of executed cycles attributed to the function, so two
 // ticks mark genuinely hot code while staying early enough that the
-// threaded form covers most of the remaining execution.
-const ClosureHotSamples = 2
-
-// TraceHotSamples is the sampler-tick threshold after which an optimized
-// Code's loops are register-converted (trace.go). Same threshold as the
-// closure tier: both forms are built at the same promotion point, and a
-// trace additionally proves itself by back-edge arrivals before it runs
-// (traceHotEntries).
+// traces cover most of the remaining execution; each trace additionally
+// proves itself by back-edge arrivals before it runs (traceHotEntries).
 const TraceHotSamples = 2
 
 // noteSample records one sampler tick for hotness tracking.
 func (c *Code) noteSample() { c.samples.Add(1) }
-
-// Samples returns the cumulative sampler ticks attributed to this code
-// (diagnostics).
-func (c *Code) Samples() int64 { return c.samples.Load() }
-
-// installClosurePlan builds the closure-threaded form for the given
-// fusion mode and installs it CAS-once: of concurrent builders, exactly
-// one plan lands and every loser discards its build (counted in
-// PlanInstallStats). Promotion policy — hotness, eagerness, sync vs
-// async — lives in Engine.closureTier; this is only the build step, so
-// background workers and the engine's own goroutine share one path.
-// Reports whether this caller's plan was installed.
-func (c *Code) installClosurePlan(fuse bool) bool {
-	slot := 0
-	if fuse {
-		slot = 1
-	}
-	if c.closures[slot].Load() != nil {
-		return false
-	}
-	p := buildClosurePlan(c, fuse)
-	if !c.closures[slot].CompareAndSwap(nil, p) {
-		compileStats.lostClosures.Add(1)
-		return false
-	}
-	return true
-}
 
 // installTracePlan builds the register-converted trace plan for the
 // given inline mode and installs it CAS-once against the plan it is
@@ -282,14 +240,4 @@ func NewCode(fnIdx int, f *bytecode.Function, level, scalePct int) *Code {
 		c.Base[i] = bytecode.OpCost(in.Op)
 	}
 	return c
-}
-
-// StaticCycles returns the sum of per-instruction costs — a size proxy used
-// in diagnostics.
-func (c *Code) StaticCycles() int64 {
-	var n int64
-	for _, v := range c.Cost {
-		n += v
-	}
-	return n
 }

@@ -10,42 +10,32 @@ import (
 // and queue types a compilation pool implements (internal/bgcompile),
 // the per-Code in-flight bitmask that keeps the hot path from touching
 // the pool more than once per missing plan, and the tier-promotion
-// helpers the generated run loops call in place of the old synchronous
-// Code.closureFor/traceFor.
+// helper the generated run loop calls at the promotion point.
 //
 // Determinism: which host tier executes an iteration is never a virtual
 // observable — results, traps, cycles, samples, and ledgers are proven
-// bit-identical across all four tiers by the difftest soaks — so a plan
+// bit-identical across every tier by the difftest soaks — so a plan
 // that lands at a wall-clock-racy moment changes only host speed. That
 // is the entire correctness argument for building plans on background
 // goroutines (see DESIGN.md §15).
 
-// CompileKind identifies which plan form a background build produces.
-type CompileKind uint8
-
-const (
-	// CompileClosure builds the closure-threaded plan; Mode is the
-	// superinstruction-fusion flag (the plan slot).
-	CompileClosure CompileKind = iota
-	// CompileTrace builds the register-converted trace plan; Mode is the
-	// CALL-inlining flag (the plan slot).
-	CompileTrace
-)
-
-// CompileJob is one deferred plan build. The engine enqueues it when a
-// Code crosses its hotness threshold without a plan; a pool worker calls
-// Build, or Discard when the job is dropped or deduplicated, so the
-// Code's in-flight bit is always released exactly once.
+// CompileJob is one deferred trace-plan build. The engine enqueues it
+// when a Code crosses its hotness threshold without a trace plan; a pool
+// worker calls Build, or Discard when the job is dropped or
+// deduplicated, so the Code's in-flight bit is always released exactly
+// once. Trace plans are the only plans built in the background:
+// execution plans (fuse.go) are cheap enough to build inline on first
+// use.
 type CompileJob struct {
 	Code *Code
-	Kind CompileKind
+	// Mode is the CALL-inlining flag (the trace plan slot).
 	Mode bool
 	// Peek is the code-table snapshot for trace-tier callee inlining,
 	// captured on the engine's goroutine at enqueue time (the live
 	// PeekCode may read state owned by the engine's goroutine, so a
-	// background builder must never call it). Nil for closure jobs and
-	// for engines without a code table; inlining then refuses callees,
-	// which is always safe — inline sites re-guard at run time anyway.
+	// background builder must never call it). Nil for engines without a
+	// code table; inlining then refuses callees, which is always safe —
+	// inline sites re-guard at run time anyway.
 	Peek func(int) *Code
 	// Priority is the Code's sampler count at enqueue time; hotter code
 	// compiles first.
@@ -56,17 +46,14 @@ type CompileJob struct {
 // in-flight bit. It reports whether the install won (false: another
 // builder got there first, or a trace rebuild found nothing to improve).
 func (j CompileJob) Build() bool {
-	defer j.Code.clearPending(j.Kind, j.Mode)
-	if j.Kind == CompileClosure {
-		return j.Code.installClosurePlan(j.Mode)
-	}
+	defer j.Code.clearPending(j.Mode)
 	return j.Code.installTracePlan(j.Mode, j.Peek)
 }
 
 // Discard releases the job's in-flight bit without building — the pool
 // calls it for dropped and dedup-suppressed jobs so the owning engine
 // can re-enqueue on a later promotion attempt.
-func (j CompileJob) Discard() { j.Code.clearPending(j.Kind, j.Mode) }
+func (j CompileJob) Discard() { j.Code.clearPending(j.Mode) }
 
 // CompileQueue accepts deferred plan builds. Submit must not block:
 // bounded implementations drop (and Discard) rather than stall the
@@ -75,21 +62,20 @@ type CompileQueue interface {
 	Submit(CompileJob)
 }
 
-// pendingBit maps a (kind, mode) pair to its bit in Code.pending.
-func pendingBit(kind CompileKind, mode bool) uint32 {
-	b := uint32(1) << (uint32(kind) * 2)
+// pendingBit maps an inline mode to its bit in Code.pending.
+func pendingBit(mode bool) uint32 {
 	if mode {
-		b <<= 1
+		return 2
 	}
-	return b
+	return 1
 }
 
-// markPending claims the in-flight bit for (kind, mode), reporting
+// markPending claims the in-flight bit for mode, reporting
 // whether this caller won it. While the bit is held, every other engine
 // sharing the Code skips its own enqueue — a thundering herd of cold
 // tenants triggers exactly one Submit per missing plan.
-func (c *Code) markPending(kind CompileKind, mode bool) bool {
-	bit := pendingBit(kind, mode)
+func (c *Code) markPending(mode bool) bool {
+	bit := pendingBit(mode)
 	for {
 		old := c.pending.Load()
 		if old&bit != 0 {
@@ -101,58 +87,20 @@ func (c *Code) markPending(kind CompileKind, mode bool) bool {
 	}
 }
 
-// clearPending releases the in-flight bit for (kind, mode).
-func (c *Code) clearPending(kind CompileKind, mode bool) {
+// clearPending releases the in-flight bit for mode.
+func (c *Code) clearPending(mode bool) {
 	for {
 		old := c.pending.Load()
-		next := old &^ pendingBit(kind, mode)
+		next := old &^ pendingBit(mode)
 		if old == next || c.pending.CompareAndSwap(old, next) {
 			return
 		}
 	}
 }
 
-// closureHot reports whether the code has earned its closure-threaded
-// form under the engine's promotion policy.
-func (e *Engine) closureHot(code *Code) bool {
-	return e.EagerClosures || (code.Level >= 0 && code.samples.Load() >= ClosureHotSamples)
-}
-
 // traceHot reports whether the code has earned register conversion.
 func (e *Engine) traceHot(code *Code) bool {
-	return e.EagerRegTier || (code.Level >= 0 && code.samples.Load() >= TraceHotSamples)
-}
-
-// asyncCompile reports whether plan builds go through the background
-// queue. Eager modes always build inline even when a queue is attached:
-// the equivalence suites that set them need the plan before the first
-// instruction, and an eager build is a test-only configuration anyway.
-func (e *Engine) asyncCompile(eager bool) bool {
-	return e.BgCompile != nil && !e.SyncCompile && !eager
-}
-
-// closureTier returns the closure plan code should run under, or nil.
-// Synchronous mode builds inline at the promotion point (the pre-async
-// behaviour); asynchronous mode enqueues once and keeps executing in the
-// current best tier until the built plan appears in the slot.
-func (e *Engine) closureTier(code *Code) *closPlan {
-	fuse := !e.DisableFusion
-	slot := 0
-	if fuse {
-		slot = 1
-	}
-	if p := code.closures[slot].Load(); p != nil {
-		return p
-	}
-	if !e.closureHot(code) {
-		return nil
-	}
-	if e.asyncCompile(e.EagerClosures) {
-		e.enqueueCompile(code, CompileClosure, fuse)
-		return code.closures[slot].Load()
-	}
-	code.installClosurePlan(fuse)
-	return code.closures[slot].Load()
+	return e.Tiers.Stress&StressEagerReg != 0 || (code.Level >= 0 && code.samples.Load() >= TraceHotSamples)
 }
 
 // traceTier returns the register trace plan code should run under, or
@@ -161,7 +109,7 @@ func (e *Engine) closureTier(code *Code) *closPlan {
 // asynchronous mode, where the stale plan keeps running until the
 // rebuilt one is installed.
 func (e *Engine) traceTier(code *Code) *tracePlan {
-	inline := !e.DisableCallInline
+	inline := e.Tiers.Stress&StressNoInline == 0
 	slot := 0
 	if inline {
 		slot = 1
@@ -173,27 +121,26 @@ func (e *Engine) traceTier(code *Code) *tracePlan {
 	} else if !e.traceHot(code) {
 		return nil
 	}
-	if e.asyncCompile(e.EagerRegTier) {
-		e.enqueueCompile(code, CompileTrace, inline)
+	// Eager builds stay inline even with a queue attached: the suites
+	// that set StressEagerReg need the plan before the first instruction.
+	if e.BgCompile != nil && e.Tiers.Stress&StressEagerReg == 0 {
+		e.enqueueCompile(code, inline)
 		return code.traces[slot].Load()
 	}
 	code.installTracePlan(inline, e.PeekCode)
 	return code.traces[slot].Load()
 }
 
-// enqueueCompile submits one build to the background queue, gated by the
-// Code's in-flight bit so the pool sees at most one job per missing plan
-// regardless of how many engines share the Code. Trace jobs carry a
-// code-table snapshot taken here, on the engine's goroutine.
-func (e *Engine) enqueueCompile(code *Code, kind CompileKind, mode bool) {
-	if !code.markPending(kind, mode) {
+// enqueueCompile submits one trace build to the background queue, gated
+// by the Code's in-flight bit so the pool sees at most one job per
+// missing plan regardless of how many engines share the Code. The job
+// carries a code-table snapshot taken here, on the engine's goroutine.
+func (e *Engine) enqueueCompile(code *Code, inline bool) {
+	if !code.markPending(inline) {
 		return
 	}
-	job := CompileJob{Code: code, Kind: kind, Mode: mode, Priority: code.samples.Load()}
-	if kind == CompileTrace {
-		job.Peek = e.snapshotPeek()
-	}
-	e.BgCompile.Submit(job)
+	e.BgCompile.Submit(CompileJob{Code: code, Mode: inline,
+		Peek: e.snapshotPeek(), Priority: code.samples.Load()})
 }
 
 // snapshotPeek captures the engine's current code table as an immutable
@@ -219,40 +166,33 @@ func (e *Engine) snapshotPeek() func(int) *Code {
 	}
 }
 
-// WarmJobs returns background-compile jobs for every plan form the code
-// has earned (by level and sampler count) but not yet built in the given
-// modes, claiming each job's in-flight bit. The serving front end calls
-// this at epoch barriers to pre-warm the published winning chain, so
-// cold tenants inherit compiled plans along with learned state. An empty
-// return means the code is fully compiled (or too cold to bother).
-func (c *Code) WarmJobs(fuse, inline bool, peek func(int) *Code) []CompileJob {
+// WarmJob returns the background-compile job for the trace plan the
+// code has earned (by level and sampler count) but not yet built in the
+// given inline mode, claiming the job's in-flight bit; ok is false when
+// there is nothing to build (or the code is too cold to bother). The
+// serving front end calls this at epoch barriers to pre-warm the
+// published winning chain, so cold tenants inherit compiled plans along
+// with learned state.
+func (c *Code) WarmJob(inline bool, peek func(int) *Code) (job CompileJob, ok bool) {
 	if c.Level < 0 {
-		return nil
+		return CompileJob{}, false
 	}
-	var jobs []CompileJob
 	n := c.samples.Load()
-	cslot, tslot := 0, 0
-	if fuse {
-		cslot = 1
-	}
+	slot := 0
 	if inline {
-		tslot = 1
-	}
-	if n >= ClosureHotSamples && c.closures[cslot].Load() == nil &&
-		c.markPending(CompileClosure, fuse) {
-		jobs = append(jobs, CompileJob{Code: c, Kind: CompileClosure, Mode: fuse, Priority: n})
+		slot = 1
 	}
 	// An inline-mode trace build without a code table would permanently
 	// pin a degraded plan for loops containing calls: a nil peek refuses
 	// CALL outright, without recording the callee as provisionally
 	// missing, so no retry-rebuild would ever fire. Those codes wait for
 	// an engine with a real table instead.
-	if n >= TraceHotSamples && c.traces[tslot].Load() == nil &&
-		!(inline && peek == nil && c.hasCall()) &&
-		c.markPending(CompileTrace, inline) {
-		jobs = append(jobs, CompileJob{Code: c, Kind: CompileTrace, Mode: inline, Peek: peek, Priority: n})
+	if n < TraceHotSamples || c.traces[slot].Load() != nil ||
+		(inline && peek == nil && c.hasCall()) ||
+		!c.markPending(inline) {
+		return CompileJob{}, false
 	}
-	return jobs
+	return CompileJob{Code: c, Mode: inline, Peek: peek, Priority: n}, true
 }
 
 // hasCall reports whether the code contains any CALL instruction.
@@ -270,9 +210,8 @@ func (c *Code) hasCall() bool {
 // expected under concurrent engines sharing Codes; the counters exist so
 // "how much build work is wasted" is measurable rather than folklore.
 var compileStats struct {
-	lostPlans    atomic.Int64
-	lostClosures atomic.Int64
-	lostTraces   atomic.Int64
+	lostPlans  atomic.Int64
+	lostTraces atomic.Int64
 }
 
 // PlanInstallStats is a point-in-time snapshot of the plan-install race
@@ -280,23 +219,14 @@ var compileStats struct {
 type PlanInstallStats struct {
 	// Lost* count CompareAndSwap installs that found the slot already
 	// filled by a concurrent builder, per plan form.
-	LostPlans    int64 `json:"lost_plans"`
-	LostClosures int64 `json:"lost_closures"`
-	LostTraces   int64 `json:"lost_traces"`
+	LostPlans  int64 `json:"lost_plans"`
+	LostTraces int64 `json:"lost_traces"`
 }
 
 // ReadPlanInstallStats snapshots the process-global install-race counters.
 func ReadPlanInstallStats() PlanInstallStats {
 	return PlanInstallStats{
-		LostPlans:    compileStats.lostPlans.Load(),
-		LostClosures: compileStats.lostClosures.Load(),
-		LostTraces:   compileStats.lostTraces.Load(),
+		LostPlans:  compileStats.lostPlans.Load(),
+		LostTraces: compileStats.lostTraces.Load(),
 	}
-}
-
-// ResetPlanInstallStats zeroes the install-race counters (tests).
-func ResetPlanInstallStats() {
-	compileStats.lostPlans.Store(0)
-	compileStats.lostClosures.Store(0)
-	compileStats.lostTraces.Store(0)
 }

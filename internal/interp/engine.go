@@ -85,61 +85,21 @@ type Engine struct {
 	// Typically wired to a context.Context's Err method (vm.Machine.SetContext).
 	Interrupt func() error
 
-	// DisableBatching turns off the host-performance fast path entirely:
-	// every instruction is dispatched and charged individually, as in the
-	// pre-substrate engine. DisableFusion keeps block-batched accounting
-	// but runs segments op by op without superinstructions. Both exist
-	// for the fused-vs-unfused determinism suite; virtual results are
-	// bit-identical in every combination (see fuse.go).
-	DisableBatching bool
-	DisableFusion   bool
+	// Tiers selects the host execution tiers: the highest tier the
+	// engine may run and the register tier's stress overrides. The zero
+	// value is production. Host-side only; virtual results are identical
+	// under every setting (tiers.go).
+	Tiers Tiers
 
-	// DisableClosures turns off the closure-threaded tier (closure.go):
-	// hot segments keep running through the fused switch. EagerClosures
-	// closure-threads every executed Code immediately, regardless of
-	// level or hotness — the equivalence suites use it to hold the
-	// closure tier to bit identity at every tier from the first
-	// instruction. Both host-side only; virtual results are identical in
-	// every combination.
-	DisableClosures bool
-	EagerClosures   bool
-
-	// DisableRegTier turns off the register-converted trace tier
-	// (trace.go, regir.go): hot loops keep running through closures or
-	// the fused switch. EagerRegTier builds and activates traces for
-	// every executed Code immediately, regardless of level or hotness —
-	// the equivalence suites use it to hold the register tier to bit
-	// identity at every tier from the first instruction. Both host-side
-	// only; virtual results are identical in every combination.
-	DisableRegTier bool
-	EagerRegTier   bool
-
-	// DisableOSR turns off mid-iteration (on-stack replacement) entries
-	// into the register tier: traces activate at loop heads only.
-	// EagerOSR activates OSR entry points without waiting for the parent
-	// trace's back-edge hotness gate. StressDeopt forces every trace run
-	// to hand back to the accounted loop after a single iteration,
-	// hammering the exit/re-entry state mapping. DisableCallInline
-	// refuses CALL during trace building, restoring the pre-inlining
-	// per-loop degradation. All four are host-side only; virtual results
-	// are identical in every combination.
-	DisableOSR        bool
-	EagerOSR          bool
-	StressDeopt       bool
-	DisableCallInline bool
-
-	// BgCompile, when set, receives closure- and trace-plan builds as
-	// background jobs instead of the engine building them inline at the
-	// promotion point: the engine enqueues once per missing plan (gated
-	// by the Code's in-flight bit) and keeps executing in its current
-	// best tier until the built plan appears in the slot. Host-side only
-	// — which tier runs an iteration is never a virtual observable, so
-	// wall-clock-racy installs cannot perturb results (DESIGN.md §15).
-	// SyncCompile forces inline builds even when BgCompile is set; the
-	// equivalence suites use it to pin the synchronous oracle. The eager
-	// toggles below always build inline regardless.
-	BgCompile   CompileQueue
-	SyncCompile bool
+	// BgCompile, when set, receives trace-plan builds as background jobs
+	// instead of the engine building them inline at the promotion point:
+	// the engine enqueues once per missing plan (gated by the Code's
+	// in-flight bit) and keeps executing in its current best tier until
+	// the built plan appears in the slot. Host-side only — which tier
+	// runs an iteration is never a virtual observable, so wall-clock-racy
+	// installs cannot perturb results (DESIGN.md §15). StressEagerReg
+	// always builds inline regardless.
+	BgCompile CompileQueue
 
 	// PeekCode reports the code the engine's current Provider would
 	// return for fnIdx WITHOUT side effects — nil when the function has
@@ -387,9 +347,9 @@ type frame struct {
 }
 
 // runScratch is the pooled per-run working memory of the evaluator: the
-// locals arena, operand stack, frame stack, the closure-tier threading
-// state, and the trace tier's side channels and event counts (its register
-// file is a window of the locals arena; trace.go). Engines are created (or
+// locals arena, operand stack, frame stack, and the trace tier's side
+// channels and event counts (its register file is a window of the locals
+// arena; trace.go). Engines are created (or
 // reset) per run by the thousands during experiments; recycling the arenas
 // makes the steady state allocation-free. Values carry no pointers, so
 // retaining their backing arrays in the pool pins nothing.
@@ -397,7 +357,6 @@ type runScratch struct {
 	locals []bytecode.Value
 	stack  []bytecode.Value
 	frames []frame
-	st     cstate
 
 	// Trace-tier side channels (trace.go): curCodes holds the guarded
 	// current callee code per inlined call site of the running trace;
@@ -425,7 +384,7 @@ var scratchPool = sync.Pool{
 // behind it) and the allocated ledger slices. Pooled vm.Machines use this
 // to make repeated runs allocation-free; everything a run can observe —
 // globals, output, clocks, ledgers, heap, GC state, limits, hooks, and
-// substrate toggles — is restored to defaults.
+// host tiers — is restored to defaults.
 func (e *Engine) Reset() {
 	e.OnInvoke = nil
 	e.OnSample = nil
@@ -433,18 +392,8 @@ func (e *Engine) Reset() {
 	e.MaxCycles = DefaultMaxCycles
 	e.MaxHeapCells = DefaultMaxHeapCells
 	e.Interrupt = nil
-	e.DisableBatching = false
-	e.DisableFusion = false
-	e.DisableClosures = false
-	e.EagerClosures = false
-	e.DisableRegTier = false
-	e.EagerRegTier = false
-	e.DisableOSR = false
-	e.EagerOSR = false
-	e.StressDeopt = false
-	e.DisableCallInline = false
+	e.Tiers = Tiers{}
 	e.BgCompile = nil
-	e.SyncCompile = false
 	clear(e.Globals)
 	e.Output = e.Output[:0]
 	e.Cycles = 0

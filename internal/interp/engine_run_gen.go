@@ -24,8 +24,6 @@ func (e *Engine) Run() (bytecode.Value, error) {
 	locals := sc.locals[:0]
 	stack := sc.stack[:0]
 	frames := sc.frames[:0]
-	st := &sc.st
-	st.e = e
 	sc.deopt = deoptState{}
 	sc.trapFn = -1
 	e.rootLocals, e.rootStack = nil, nil
@@ -40,7 +38,6 @@ func (e *Engine) Run() (bytecode.Value, error) {
 		sc.frames = frames[:cap(frames)]
 		clear(sc.frames)
 		sc.frames = sc.frames[:0]
-		sc.st = cstate{}
 		sc.curCodes = sc.curCodes[:cap(sc.curCodes)]
 		clear(sc.curCodes)
 		sc.curCodes = sc.curCodes[:0]
@@ -83,17 +80,11 @@ func (e *Engine) Run() (bytecode.Value, error) {
 		workP := &e.Work[code.FnIdx]
 		cycP := &e.FnCycles[code.FnIdx]
 		var pl *plan
-		var cp *closPlan
 		var tp *tracePlan
-		if !e.DisableBatching {
-			if !e.DisableRegTier {
+		if e.Tiers.Ceiling > TierSwitch {
+			pl = code.planFor(e.Tiers.Ceiling > TierBatched)
+			if e.Tiers.Ceiling == TierRegister {
 				tp = e.traceTier(code)
-			}
-			if !e.DisableClosures {
-				cp = e.closureTier(code)
-			}
-			if cp == nil {
-				pl = code.planFor(!e.DisableFusion)
 			}
 		}
 		rerr := func(format string, args ...interface{}) error {
@@ -125,14 +116,13 @@ func (e *Engine) Run() (bytecode.Value, error) {
 				run := (*trace)(nil)
 				if tr := tp.tr[pc]; tr != nil {
 					if e.Cycles+tr.cost < e.nextSample &&
-						(e.EagerRegTier || tr.hot()) {
+						(e.Tiers.Stress&StressEagerReg != 0 || tr.hot()) {
 						run = tr
 					}
-				} else if !e.DisableOSR {
-					if os := tp.osr[pc]; os != nil && e.Cycles+os.cost < e.nextSample &&
-						(e.EagerOSR || e.EagerRegTier || os.parent.entries.Load() >= traceHotEntries) {
-						run = os
-					}
+				} else if os := tp.osr[pc]; os != nil && e.Cycles+os.cost < e.nextSample &&
+					(e.Tiers.Stress&(StressEagerReg|StressEagerOSR) != 0 ||
+						os.parent.entries.Load() >= traceHotEntries) {
+					run = os
 				}
 				if run != nil {
 					// Grow the arena to hold the whole register window. The
@@ -184,40 +174,6 @@ func (e *Engine) Run() (bytecode.Value, error) {
 						frames = append(frames, nf)
 						break body // switch to the reconstructed callee frame
 					}
-					fr.pc = npc
-					continue
-				}
-			}
-
-			// Next: the closure-threaded tier. Same segment
-			// geometry and batched charge as the fused plan below — the
-			// closure program is compiled from it fop for fop — but each
-			// micro-op is a pre-bound closure, so there is no operand
-			// decoding and no dispatch switch. A trapping closure deposits
-			// the identical suffix-charge rollback in st.
-			if cp != nil {
-				if s := cp.seg[pc]; s != nil && e.Cycles+s.cost < e.nextSample {
-					e.Cycles += s.cost
-					*workP += s.base
-					*cycP += s.cost
-					st.locals, st.lb = locals, lb
-					npc := int(s.end)
-					sp := stack
-					for _, fn := range s.fns {
-						var r int
-						if sp, r = fn(st, sp); r != closFall {
-							if r == closTrap {
-								stack = sp
-								e.Cycles -= int64(st.rem)
-								*workP -= int64(st.remBase)
-								*cycP -= int64(st.rem)
-								fr.pc = int(st.tpc)
-								return result, rerr("%s", st.msg)
-							}
-							npc = r // branches only terminate segments
-						}
-					}
-					stack = sp
 					fr.pc = npc
 					continue
 				}
@@ -577,19 +533,15 @@ func (e *Engine) Run() (bytecode.Value, error) {
 						e.OnSample(code.FnIdx)
 					}
 				}
-				// A sampler tick is the promotion point of the closure
-				// tier: re-ask for the threaded form so code that just got
-				// hot (or was recompiled hot in OnSample) starts threading
-				// without leaving the frame. With a background compile
-				// queue attached the re-ask enqueues instead of building
-				// and keeps returning nil until the plan lands; either
-				// way, host-side only — the virtual stream is untouched.
-				if cp == nil && !e.DisableBatching && !e.DisableClosures {
-					if cp = e.closureTier(code); cp != nil {
-						pl = nil
-					}
-				}
-				if tp == nil && !e.DisableBatching && !e.DisableRegTier {
+				// A sampler tick is the promotion point of the register
+				// tier: re-ask for the trace plan so code that just got
+				// hot (or was recompiled hot in OnSample) starts running
+				// traces without leaving the frame. With a background
+				// compile queue attached the re-ask enqueues instead of
+				// building and keeps returning nil until the plan lands;
+				// either way, host-side only — the virtual stream is
+				// untouched.
+				if tp == nil && e.Tiers.Ceiling == TierRegister {
 					tp = e.traceTier(code)
 				}
 				if e.Cycles > e.MaxCycles {

@@ -88,26 +88,20 @@ func snapIdentical(t *testing.T, ctx string, ref, got *engineSnap) {
 	}
 }
 
-// traceConfigs is the ladder of trace-tier configurations every golden
-// program is checked under, each against the substrate-off reference.
-var traceConfigs = []struct {
-	name      string
-	configure func(*Engine)
-}{
-	{"reg", func(e *Engine) { e.EagerRegTier = true }},
-	{"reg-noosr", func(e *Engine) { e.EagerRegTier = true; e.DisableOSR = true }},
-	{"reg-osr", func(e *Engine) { e.EagerRegTier = true; e.EagerOSR = true }},
-	{"reg-osr-deopt", func(e *Engine) { e.EagerRegTier = true; e.EagerOSR = true; e.StressDeopt = true }},
-	{"reg-noinline", func(e *Engine) { e.EagerRegTier = true; e.DisableCallInline = true }},
-}
-
+// checkTraceLadder checks a golden program under every tier mode against
+// the switch-ceiling reference. The async modes are skipped: these
+// engines run baseline code, which never passes the promotion gate that
+// enqueues a background build, so each would repeat its sync twin.
 func checkTraceLadder(t *testing.T, src string, globals map[string]bytecode.Value) {
 	t.Helper()
 	p := mustProg(t, src)
-	ref := snapRun(t, p, globals, func(e *Engine) { e.DisableBatching = true })
-	for _, cfg := range traceConfigs {
-		got := snapRun(t, p, globals, cfg.configure)
-		snapIdentical(t, cfg.name, ref, got)
+	modes := TierModes()
+	ref := snapRun(t, p, globals, func(e *Engine) { e.Tiers = modes[0].Tiers })
+	for _, m := range modes[1:] {
+		if !m.Async {
+			got := snapRun(t, p, globals, func(e *Engine) { e.Tiers = m.Tiers })
+			snapIdentical(t, m.Name, ref, got)
+		}
 	}
 }
 
@@ -119,7 +113,7 @@ func checkTraceLadder(t *testing.T, src string, globals map[string]bytecode.Valu
 // sweeping them forces a side exit — and the rematerialization of the
 // interpreter stack — at every exit offset and at every point of the
 // iteration space. The exit blocks jump back to the loop head, so under
-// EagerOSR the empty-stack exit target is also a mid-loop OSR entry.
+// StressEagerOSR the empty-stack exit target is also a mid-loop OSR entry.
 const branchySrc = `
 global n
 global a
@@ -209,7 +203,7 @@ func TestTraceSideExitStateMapping(t *testing.T) {
 
 // TestOSREntryCounted proves OSR entries actually fire on the branchy
 // loop: the empty-stack exit block jumps back into the loop, so under
-// EagerOSR the engine must enter the register tier mid-loop.
+// StressEagerOSR the engine must enter the register tier mid-loop.
 func TestOSREntryCounted(t *testing.T) {
 	p := mustProg(t, branchySrc)
 	g := map[string]bytecode.Value{
@@ -217,8 +211,8 @@ func TestOSREntryCounted(t *testing.T) {
 		"a": bytecode.Int(-1), "b": bytecode.Int(-1), "c": bytecode.Int(4),
 	}
 	ResetTraceStats()
-	ref := snapRun(t, p, g, func(e *Engine) { e.DisableBatching = true })
-	got := snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true; e.EagerOSR = true })
+	ref := snapRun(t, p, g, func(e *Engine) { e.Tiers.Ceiling = TierSwitch })
+	got := snapRun(t, p, g, func(e *Engine) { e.Tiers.Stress = StressEagerReg | StressEagerOSR })
 	snapIdentical(t, "eager-osr", ref, got)
 	st := ReadTraceStats()
 	if st.OSREntries == 0 {
@@ -326,10 +320,10 @@ end
 func TestCallInliningRunsInRegisterTier(t *testing.T) {
 	p := mustProg(t, callLoopSrc)
 	g := map[string]bytecode.Value{"n": bytecode.Int(500)}
-	ref := snapRun(t, p, g, func(e *Engine) { e.DisableBatching = true })
+	ref := snapRun(t, p, g, func(e *Engine) { e.Tiers.Ceiling = TierSwitch })
 
 	ResetTraceStats()
-	got := snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true })
+	got := snapRun(t, p, g, func(e *Engine) { e.Tiers.Stress = StressEagerReg })
 	snapIdentical(t, "inline", ref, got)
 	st := ReadTraceStats()
 	if st.Degrade["call"] != 0 {
@@ -344,7 +338,7 @@ func TestCallInliningRunsInRegisterTier(t *testing.T) {
 
 	// Same program with inlining refused: the loop degrades at the CALL.
 	ResetTraceStats()
-	got = snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true; e.DisableCallInline = true })
+	got = snapRun(t, p, g, func(e *Engine) { e.Tiers.Stress = StressEagerReg | StressNoInline })
 	snapIdentical(t, "noinline", ref, got)
 	st = ReadTraceStats()
 	if st.Degrade["call"] == 0 {
@@ -401,9 +395,9 @@ func TestInlineGuardFailureDeopts(t *testing.T) {
 		}
 	}
 
-	ref := snapRun(t, p, g, withSwap(func(e *Engine) { e.DisableBatching = true }))
+	ref := snapRun(t, p, g, withSwap(func(e *Engine) { e.Tiers.Ceiling = TierSwitch }))
 	ResetTraceStats()
-	got := snapRun(t, p, g, withSwap(func(e *Engine) { e.EagerRegTier = true }))
+	got := snapRun(t, p, g, withSwap(func(e *Engine) { e.Tiers.Stress = StressEagerReg }))
 	snapIdentical(t, "guard-fail", ref, got)
 	st := ReadTraceStats()
 	if st.GuardFails == 0 {
@@ -437,9 +431,9 @@ func TestInlineHookChargeDeopts(t *testing.T) {
 			}
 		}
 	}
-	ref := snapRun(t, p, g, withHook(func(e *Engine) { e.DisableBatching = true }))
+	ref := snapRun(t, p, g, withHook(func(e *Engine) { e.Tiers.Ceiling = TierSwitch }))
 	ResetTraceStats()
-	got := snapRun(t, p, g, withHook(func(e *Engine) { e.EagerRegTier = true }))
+	got := snapRun(t, p, g, withHook(func(e *Engine) { e.Tiers.Stress = StressEagerReg }))
 	snapIdentical(t, "hook-charge", ref, got)
 	st := ReadTraceStats()
 	if st.InlinedCalls == 0 {
@@ -510,25 +504,25 @@ func TestInlineDepthTrap(t *testing.T) {
 	for _, src := range []string{depthTrapSrc, depthTrapWarmSrc} {
 		p := mustProg(t, src)
 		g := map[string]bytecode.Value{"n": bytecode.Int(10)}
-		ref := snapRun(t, p, g, func(e *Engine) { e.DisableBatching = true })
+		ref := snapRun(t, p, g, func(e *Engine) { e.Tiers.Ceiling = TierSwitch })
 		if !strings.Contains(ref.trap, "call depth exceeds") {
 			t.Fatalf("reference did not depth-trap: trap=%q", ref.trap)
 		}
 		ResetTraceStats()
-		got := snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true })
+		got := snapRun(t, p, g, func(e *Engine) { e.Tiers.Stress = StressEagerReg })
 		snapIdentical(t, "depth-trap", ref, got)
 	}
 }
 
-// TestStressDeoptCounts proves ForcedDeopt actually exercises the
+// TestStressDeoptCounts proves StressDeopt actually exercises the
 // deopt boundary: every non-OSR trace execution hands control back after
 // one iteration.
 func TestStressDeoptCounts(t *testing.T) {
 	p := mustProg(t, callLoopSrc)
 	g := map[string]bytecode.Value{"n": bytecode.Int(200)}
-	ref := snapRun(t, p, g, func(e *Engine) { e.DisableBatching = true })
+	ref := snapRun(t, p, g, func(e *Engine) { e.Tiers.Ceiling = TierSwitch })
 	ResetTraceStats()
-	got := snapRun(t, p, g, func(e *Engine) { e.EagerRegTier = true; e.StressDeopt = true })
+	got := snapRun(t, p, g, func(e *Engine) { e.Tiers.Stress = StressEagerReg | StressDeopt })
 	snapIdentical(t, "stress-deopt", ref, got)
 	if st := ReadTraceStats(); st.Deopts == 0 {
 		t.Errorf("StressDeopt recorded no deopts: %+v", st)

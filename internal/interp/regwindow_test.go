@@ -15,7 +15,7 @@ import (
 // the tests aim at the places where that window meets the rest of the
 // engine — arena growth, the collector's roots, and callee-frame
 // materialization moving a pinned block over live registers. Each run is
-// compared with the per-instruction interpreter (DisableBatching); the
+// compared with the per-instruction interpreter (TierSwitch); the
 // difftest suite runs the same shapes through every substrate mode and
 // tier (internal/difftest/regwindow_test.go).
 
@@ -139,11 +139,11 @@ func TestRegWindowGrowThenCollect(t *testing.T) {
 					extra(e)
 				}
 			}
-			ref := snapRun(t, p, g, withGC(func(e *Engine) { e.DisableBatching = true; refEng = e }))
+			ref := snapRun(t, p, g, withGC(func(e *Engine) { e.Tiers.Ceiling = TierSwitch; refEng = e }))
 			var got *engineSnap
 			before := ReadTraceStats()
 			grown := withFreshArena(t, frameTop, func() {
-				got = snapRun(t, p, g, withGC(func(e *Engine) { e.EagerRegTier = true; gotEng = e }))
+				got = snapRun(t, p, g, withGC(func(e *Engine) { e.Tiers.Stress = StressEagerReg; gotEng = e }))
 			})
 			if d := statsDelta(before, ReadTraceStats()); d.HeadEntries == 0 {
 				t.Fatalf("work's loop never entered the register tier: %+v", d)

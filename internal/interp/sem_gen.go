@@ -86,28 +86,6 @@ func fltCmp(op bytecode.Op, a, b float64) bool {
 	}
 }
 
-// cmpFlags decomposes an integer comparison into its three-region truth
-// table: the result for a<b, a==b, and a>b. A closure captures the three
-// booleans and evaluates the comparison with two compares and no call.
-// The table is obtained by probing intCmp at one representative of each
-// region, so it tracks the spec's scalar expressions by construction
-// (every comparison in the intcmp group is a function of sign(a-b)).
-func cmpFlags(op bytecode.Op) (lt, eq, gt, ok bool) {
-	switch op {
-	case bytecode.IEQ, bytecode.INE, bytecode.ILT, bytecode.ILE, bytecode.IGT, bytecode.IGE:
-		return intCmp(op, 0, 1), intCmp(op, 0, 0), intCmp(op, 1, 0), true
-	}
-	return false, false, false, false
-}
-
-// cmpJumpFlags folds a compare-and-branch's taken/not-taken sense into the
-// comparison's three-region truth table: the returned booleans say "take
-// the branch" directly for a<b, a==b, and a>b.
-func cmpJumpFlags(op bytecode.Op, want bool) (jlt, jeq, jgt bool) {
-	lt, eq, gt, _ := cmpFlags(op)
-	return lt == want, eq == want, gt == want
-}
-
 // semINEG is the semantic kernel of ineg.
 func semINEG(v0 bytecode.Value) bytecode.Value {
 	return bytecode.Int(-v0.I)

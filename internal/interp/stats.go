@@ -108,7 +108,7 @@ type TraceStats struct {
 	// SideExits counts deoptimizations through a side exit (symbolic
 	// stack rematerialized, suffix charge rolled back); Traps counts
 	// trapping deoptimizations; Deopts counts forced per-iteration
-	// returns under StressDeopt.
+	// returns under the StressDeopt stress member.
 	SideExits int64 `json:"side_exits"`
 	Traps     int64 `json:"traps"`
 	Deopts    int64 `json:"stress_deopts"`

@@ -62,8 +62,8 @@ import (
 // operand stack is rematerialized first, because the move overwrites
 // registers it may read.
 //
-// Bit identity follows the same two-part argument as the fused and
-// closure tiers (fuse.go, closure.go): an iteration (or iteration
+// Bit identity follows the same two-part argument as the fused tier
+// (fuse.go): an iteration (or iteration
 // remainder, for OSR) is entered only when its full charge fits inside
 // the current sample window, so no sampler tick, cycle-fuse check, or
 // interrupt poll can fall inside it; and every side exit and trap
@@ -71,18 +71,17 @@ import (
 // function once calls are inlined — landing on exactly the ledger state,
 // stack, locals, frames, and pc of the per-instruction loop. Loops the
 // converter cannot express simply never get a trace and keep running on
-// the closure/fused path — per-loop degradation, never a virtual
+// the fused path — per-loop degradation, never a virtual
 // difference.
 //
 // Trace activation is two-staged and deterministic on the host side:
-// the Code must be hot by sampler count (TraceHotSamples, like the
-// closure tier), and then each individual loop must prove itself by
-// back-edge arrivals (traceHotEntries) before its register program runs.
+// the Code must be hot by sampler count (TraceHotSamples), and then each
+// individual loop must prove itself by back-edge arrivals (traceHotEntries) before its register program runs.
 // OSR traces inherit their parent head trace's arrival count. The count
 // saturates at the gate, so a hot trace's counter is only ever read and its
 // cache line stays shared between engines running the same Code.
-// Engine.EagerRegTier short-circuits both gates for the equivalence
-// suites; Engine.EagerOSR only the OSR gate. Neither gate feeds back
+// StressEagerReg short-circuits both gates for the equivalence suites;
+// StressEagerOSR only the OSR gate. Neither gate feeds back
 // into any virtual observable.
 
 // traceHotEntries is the per-trace back-edge arrival count after which a
@@ -563,8 +562,8 @@ func (e *Engine) runTrace(tr *trace, sc *runScratch, depth int, regs, stack []by
 		// Otherwise loop only while the next full iteration still fits the
 		// sample window; the engine loop crosses the boundary on the
 		// accounted path exactly as the other tiers do.
-		if tr.once || e.StressDeopt {
-			if e.StressDeopt && !tr.once {
+		if deopt := e.Tiers.Stress&StressDeopt != 0; tr.once || deopt {
+			if deopt && !tr.once {
 				sc.tc.deopts++
 			}
 			return stack, int(tr.head), 0, ""

@@ -50,8 +50,9 @@ type statsCase struct {
 	name    string
 	src     string
 	globals map[string]bytecode.Value
-	// configure sets up the engine; it may install hooks that mutate
-	// per-run state, so it is called once per engine.
+	// configure, when set, sets up the engine after it is put on the
+	// eager register tier; it may install hooks that mutate per-run
+	// state, so it is called once per engine.
 	configure func(p *bytecode.Program, e *Engine)
 	// wantErr classifies the run's error: "" (none), "runtime", "canceled".
 	wantErr string
@@ -66,18 +67,14 @@ func statsCases() []statsCase {
 			name:    "eager-regtier",
 			src:     callLoopSrc,
 			globals: map[string]bytecode.Value{"n": bytecode.Int(500)},
-			configure: func(p *bytecode.Program, e *Engine) {
-				e.EagerRegTier = true
-			},
-			want: TraceStats{Built: 1, HeadEntries: 6, SideExits: 1, InlinedCalls: 494},
+			want:    TraceStats{Built: 1, HeadEntries: 6, SideExits: 1, InlinedCalls: 494},
 		},
 		{
 			name:    "stress-deopt",
 			src:     callLoopSrc,
 			globals: map[string]bytecode.Value{"n": bytecode.Int(200)},
 			configure: func(p *bytecode.Program, e *Engine) {
-				e.EagerRegTier = true
-				e.StressDeopt = true
+				e.Tiers.Stress |= StressDeopt
 			},
 			want: TraceStats{Built: 1, HeadEntries: 198, SideExits: 1, Deopts: 197, InlinedCalls: 197},
 		},
@@ -89,8 +86,7 @@ func statsCases() []statsCase {
 				"a": bytecode.Int(-1), "b": bytecode.Int(-1), "c": bytecode.Int(4),
 			},
 			configure: func(p *bytecode.Program, e *Engine) {
-				e.EagerRegTier = true
-				e.EagerOSR = true
+				e.Tiers.Stress |= StressEagerOSR
 			},
 			want: TraceStats{Built: 1, HeadEntries: 2, OSREntries: 1, SideExits: 2},
 		},
@@ -98,9 +94,6 @@ func statsCases() []statsCase {
 			name:    "trap",
 			src:     divTrapSrc,
 			globals: map[string]bytecode.Value{"n": bytecode.Int(8), "d": bytecode.Int(5)},
-			configure: func(p *bytecode.Program, e *Engine) {
-				e.EagerRegTier = true
-			},
 			wantErr: "runtime",
 			want:    TraceStats{Built: 1, HeadEntries: 1, Traps: 1},
 		},
@@ -109,7 +102,6 @@ func statsCases() []statsCase {
 			src:     callLoopSrc,
 			globals: map[string]bytecode.Value{"n": bytecode.Int(1_000_000)},
 			configure: func(p *bytecode.Program, e *Engine) {
-				e.EagerRegTier = true
 				polls := 0
 				e.Interrupt = func() error {
 					if polls++; polls == 6 {
@@ -126,7 +118,6 @@ func statsCases() []statsCase {
 			src:     callLoopSrc,
 			globals: map[string]bytecode.Value{"n": bytecode.Int(400)},
 			configure: func(p *bytecode.Program, e *Engine) {
-				e.EagerRegTier = true
 				leafIdx, _ := p.FuncIndex("leaf")
 				slow := NewCode(leafIdx, p.Funcs[leafIdx], -1, 100)
 				fast := NewCode(leafIdx, p.Funcs[leafIdx], 2, 40)
@@ -157,7 +148,6 @@ func statsCases() []statsCase {
 			src:     callLoopSrc,
 			globals: map[string]bytecode.Value{"n": bytecode.Int(300)},
 			configure: func(p *bytecode.Program, e *Engine) {
-				e.EagerRegTier = true
 				leafIdx, _ := p.FuncIndex("leaf")
 				e.OnInvoke = func(fn int, count int64) {
 					if fn == leafIdx && count%50 == 0 {
@@ -173,9 +163,6 @@ func statsCases() []statsCase {
 			name:    "depth-trap",
 			src:     depthTrapWarmSrc,
 			globals: map[string]bytecode.Value{"n": bytecode.Int(10)},
-			configure: func(p *bytecode.Program, e *Engine) {
-				e.EagerRegTier = true
-			},
 			wantErr: "runtime",
 			want:    TraceStats{Built: 1, HeadEntries: 1, Traps: 1},
 		},
@@ -191,7 +178,10 @@ func runStatsCase(c statsCase, p *bytecode.Program) error {
 			return err
 		}
 	}
-	c.configure(p, e)
+	e.Tiers.Stress = StressEagerReg
+	if c.configure != nil {
+		c.configure(p, e)
+	}
 	_, err := e.Run()
 	var re *RuntimeError
 	var ce *CanceledError

@@ -44,8 +44,8 @@ type CacheStats struct {
 // reused. interp.Code is immutable after construction, so one form may
 // be executed by many engines — including concurrently running ones —
 // without copying. The host execution plans a form accumulates (fused
-// segments, closure programs, register-converted loop traces) live on
-// the Code itself, so a cache hit hands later runs an already-warmed
+// segments, register-converted loop traces) live on the Code itself, so
+// a cache hit hands later runs an already-warmed
 // form — one conversion serves every subsequent run of the same code.
 // Eviction order is a CLOCK approximation of LRU rather than exact, and
 // neither order nor eviction can change virtual results: a re-miss

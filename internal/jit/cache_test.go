@@ -127,8 +127,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 // on a cached Code travel with it: a run that register-converts the hot
 // loop leaves the trace plan on the interp.Code stored in the shared
 // cache, so every later run resolving the same key starts with the
-// register tier already built — the cross-run analogue of the closure
-// plans the cache has always carried.
+// register tier already built.
 func TestCacheCarriesTracePlans(t *testing.T) {
 	prog := testProg(t)
 	shared := NewCache()
@@ -149,7 +148,7 @@ func TestCacheCarriesTracePlans(t *testing.T) {
 	// Execute the form with the register tier forced on; the run converts
 	// the loop and stores the plan on the shared Code.
 	e := interp.NewEngine(prog)
-	e.EagerRegTier = true
+	e.Tiers.Stress = interp.StressEagerReg
 	base := e.Provider
 	e.Provider = func(fn int) *interp.Code {
 		if fn == hotIdx {
@@ -164,7 +163,7 @@ func TestCacheCarriesTracePlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !code.TraceReady() {
-		t.Fatal("run with EagerRegTier built no trace plan")
+		t.Fatal("run with StressEagerReg built no trace plan")
 	}
 
 	// A second compiler resolving from the shared cache receives the same
@@ -258,8 +257,7 @@ end
 	}
 
 	e := interp.NewEngine(prog)
-	e.EagerRegTier = true
-	e.EagerOSR = true
+	e.Tiers.Stress = interp.StressEagerReg | interp.StressEagerOSR
 	e.Provider = func(fn int) *interp.Code { return codes[fn] }
 	e.PeekCode = func(fn int) *interp.Code { return codes[fn] }
 	if err := e.SetGlobal("n", bytecode.Int(60)); err != nil {

@@ -99,7 +99,7 @@ type Config struct {
 	// from other tenants' learning. The control arm of the cold-start
 	// experiment.
 	Isolated bool
-	// Substrate toggles the host-performance mechanisms for every run the
+	// Substrate selects the host-performance mechanisms for every run the
 	// server executes. Virtual observables must not change with it — the
 	// difftest soak serves identical traces across host tiers to prove so.
 	Substrate exec.Substrate
@@ -363,7 +363,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.protos[name] = r
 	}
-	if (cfg.Substrate.AsyncCompile || exec.AsyncCompileEnv()) && !cfg.Substrate.SyncCompile {
+	if cfg.Substrate.Async() {
 		// One pool per server, shared by every tenant chain: Fork copies
 		// the prototype's Compile reference, so every run the server
 		// executes enqueues its plan builds here instead of stalling a
@@ -800,8 +800,7 @@ func (s *Server) publish() {
 	// this runs even in Isolated mode — it cannot leak virtual state
 	// between tenants, only wall-clock warmth.
 	if s.compile != nil {
-		harness.WarmCompiledPlans(s.compile,
-			!s.cfg.Substrate.NoFusion, !s.cfg.Substrate.NoCallInline)
+		harness.WarmCompiledPlans(s.compile, s.cfg.Substrate.Stress&interp.StressNoInline == 0)
 	}
 	if s.cfg.Isolated {
 		return

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"evolvevm/internal/core"
+	"evolvevm/internal/exec"
 	"evolvevm/internal/gc"
 	"evolvevm/internal/harness"
 	"evolvevm/internal/session"
@@ -103,7 +104,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestAsyncCompileServeEquivalence replays the same trace on a
-// sync-compile server and on servers whose tier plans are built by the
+// sync-compile server and on servers whose trace plans are built by the
 // background pool — at 1 and 4 submission clients, 1 and 8 workers —
 // and requires byte-identical tenant checksums and outcomes. Plan
 // installation timing is host-side; it must never surface in a virtual
@@ -112,7 +113,7 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 func TestAsyncCompileServeEquivalence(t *testing.T) {
 	tr := testTrace(t, 96, 4)
 	refCfg := testConfig(1)
-	refCfg.Substrate.SyncCompile = true
+	refCfg.Substrate.Compile = exec.CompileSync
 	// The process-wide code cache outlives servers: the sync oracle (and
 	// earlier tests) would pre-install plans into the shared Codes and
 	// leave the async servers nothing to build. Bypass it so every server
@@ -126,7 +127,7 @@ func TestAsyncCompileServeEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		for _, clients := range []int{1, 4} {
 			cfg := testConfig(workers)
-			cfg.Substrate.AsyncCompile = true
+			cfg.Substrate.Compile = exec.CompileAsync
 			cfg.Substrate.NoCodeCache = true
 			s, err := New(cfg)
 			if err != nil {
