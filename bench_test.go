@@ -235,9 +235,8 @@ end
 // microloop ("loop/") and the call-heavy loop ("call/"), honestly: one
 // engine per mode, warmed before the timer so every mode runs its steady
 // state (plans decoded, traces converted, pools populated) rather than
-// paying one-time build costs inside the measurement. The async modes are
-// left out: a background build's landing moment would be the
-// measurement. The engines run baseline (level −1) code, so the
+// paying one-time build costs inside the measurement. The engines run
+// baseline (level −1) code, so the
 // production "register" mode measures the fused switch plus the
 // promotion checks, and the eager-reg modes measure the register tier;
 // on "call/", the register+eager-reg vs register+eager-reg+no-inline
@@ -252,14 +251,11 @@ func BenchmarkTierModes(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, m := range interp.TierModes() {
-			if m.Async {
-				continue
-			}
-			b.Run(shape.name+"/"+m.Name, func(b *testing.B) {
+			b.Run(shape.name+"/"+m.String(), func(b *testing.B) {
 				e := interp.NewEngine(prog)
 				run := func() {
 					e.Reset()
-					e.Tiers = m.Tiers
+					e.Tiers = m
 					if err := e.SetGlobal("n", bytecode.Int(10000)); err != nil {
 						b.Fatal(err)
 					}
@@ -511,19 +507,13 @@ func BenchmarkServeHotPath(b *testing.B) {
 	})
 }
 
-// BenchmarkGCSelection runs the §VI extension (E8): learned per-input
-// garbage-collector choice on the server workload.
 // BenchmarkColdStartServe measures first-request latency for tenants
 // the server has never seen: each iteration submits from a fresh tenant,
 // with the cross-run code cache off so every run compiles its own tier
-// plans. The sync arm builds plans inline at the promotion point —
-// stalling the request — while the async arm enqueues them on the
-// background pool and answers from the current best tier. The gap
-// between the two arms is the compile time the pool takes off the
-// serving hot path.
+// plans, building them inline at the promotion point. The arm keeps its
+// historical row name, "sync", so the trajectory stays comparable.
 func BenchmarkColdStartServe(b *testing.B) {
-	run := func(b *testing.B, sub exec.Substrate) {
-		sub.NoCodeCache = true
+	b.Run("sync", func(b *testing.B) {
 		s, err := serve.New(serve.Config{
 			Workers:     runtime.GOMAXPROCS(0),
 			QueueDepth:  256,
@@ -532,7 +522,7 @@ func BenchmarkColdStartServe(b *testing.B) {
 			Seed:        42,
 			CorpusSize:  4,
 			Benches:     []string{"compress"},
-			Substrate:   sub,
+			Substrate:   exec.Substrate{NoCodeCache: true},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -546,11 +536,11 @@ func BenchmarkColdStartServe(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("sync", func(b *testing.B) { run(b, exec.Substrate{Compile: exec.CompileSync}) })
-	b.Run("async", func(b *testing.B) { run(b, exec.Substrate{Compile: exec.CompileAsync}) })
+	})
 }
 
+// BenchmarkGCSelection runs the §VI extension (E8): learned per-input
+// garbage-collector choice on the server workload.
 func BenchmarkGCSelection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := harness.GCSelection(testCtx, io.Discard, quickOpts(int64(i)+1))

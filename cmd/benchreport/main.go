@@ -214,8 +214,9 @@ func gitHead() string {
 
 // runCompare diffs the latest snapshots of old and new artifacts.
 // Latency gates on min-of-runs where both sides recorded it (mean
-// otherwise). Exit status: 0 all within the warn threshold, 1 some
-// benchmark regressed past warn, 2 past fail.
+// otherwise); rows only one side has are listed as new or gone and never
+// gate. Exit status: 0 all within the warn threshold, 1 some benchmark
+// regressed past warn, 2 past fail.
 func runCompare(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchreport compare", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -324,6 +325,23 @@ func compareReports(oldRep, newRep *Report, warn, fail float64, w io.Writer) int
 	}
 	if fresh > 0 {
 		fmt.Fprintf(w, "note: %d benchmark(s) not in baseline; comparison skipped for them\n", fresh)
+	}
+	// Baseline rows the new report lacks: a deleted or renamed benchmark
+	// is shown, never gated, so it cannot vanish from the comparison
+	// without a word.
+	newBy := make(map[string]bool, len(newRep.Benchmarks))
+	for _, ne := range newRep.Benchmarks {
+		newBy[ne.Name] = true
+	}
+	gone := 0
+	for _, oe := range oldRep.Benchmarks {
+		if !newBy[oe.Name] {
+			gone++
+			fmt.Fprintf(w, "%-34s %14.0f %14s %8s  %5s  %9s\n", oe.Name, oe.MeanNsPerOp, "-", "gone", "-", fmt.Sprintf("%d/-", oe.Runs))
+		}
+	}
+	if gone > 0 {
+		fmt.Fprintf(w, "note: %d baseline benchmark(s) missing from the new report\n", gone)
 	}
 	return status
 }

@@ -336,6 +336,33 @@ func TestCompareNewBenchmarkIsNotRegression(t *testing.T) {
 	}
 }
 
+// TestCompareListsGoneBenchmarks: a baseline row missing from the new
+// report is printed as gone, and it never raises the exit status.
+func TestCompareListsGoneBenchmarks(t *testing.T) {
+	dir := t.TempDir()
+	old := writeSnapshot(t, dir, "old.json", []Entry{
+		{Name: "BenchmarkA", MeanNsPerOp: 1000},
+		{Name: "BenchmarkDeleted/x", MeanNsPerOp: 5000, Runs: 3},
+	})
+	newer := writeSnapshot(t, dir, "new.json", []Entry{{Name: "BenchmarkA", MeanNsPerOp: 1000}})
+	var stdout, stderr bytes.Buffer
+	if got := runCompare([]string{"-warn", "0.01", "-fail", "0.02", old, newer}, &stdout, &stderr); got != 0 {
+		t.Errorf("exit %d, want 0: a gone benchmark must not gate\n%s", got, stdout.String())
+	}
+	var row string
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if strings.HasPrefix(line, "BenchmarkDeleted/x ") {
+			row = line
+		}
+	}
+	if !strings.Contains(row, "gone") || !strings.Contains(row, "3/-") {
+		t.Errorf("gone row missing or malformed: %q\n%s", row, stdout.String())
+	}
+	if !strings.Contains(stdout.String(), "1 baseline benchmark(s) missing") {
+		t.Errorf("gone note missing:\n%s", stdout.String())
+	}
+}
+
 func TestCompareMissingFile(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if got := runCompare([]string{"/nonexistent/a.json", "/nonexistent/b.json"}, &stdout, &stderr); got != 2 {

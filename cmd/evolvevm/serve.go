@@ -14,7 +14,6 @@ import (
 	"syscall"
 	"time"
 
-	"evolvevm/internal/exec"
 	"evolvevm/internal/harness"
 	"evolvevm/internal/serve"
 	"evolvevm/internal/traffic"
@@ -147,8 +146,6 @@ func serverFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 		corpus    = fs.Int("corpus", 0, "per-benchmark input corpus size (0 = default)")
 		isolated  = fs.Bool("isolated", false, "disable the shared cross-tenant learning tier")
 		benches   = fs.String("benches", "", "comma-separated benchmarks to serve (default: all)")
-		asyncComp = fs.Bool("async-compile", false, "build trace plans on a background pool instead of inline at the promotion point (also: EVOLVEVM_ASYNC_COMPILE)")
-		syncComp  = fs.Bool("sync-compile", false, "force inline trace-plan builds, overriding -async-compile and the env knob")
 	)
 	return func() (serve.Config, error) {
 		sc, err := serveScenario(*scenario)
@@ -164,12 +161,6 @@ func serverFlags(fs *flag.FlagSet) func() (serve.Config, error) {
 			Seed:        *seed,
 			CorpusSize:  *corpus,
 			Isolated:    *isolated,
-		}
-		switch {
-		case *syncComp:
-			cfg.Substrate.Compile = exec.CompileSync
-		case *asyncComp:
-			cfg.Substrate.Compile = exec.CompileAsync
 		}
 		if *benches != "" {
 			cfg.Benches = strings.Split(*benches, ",")

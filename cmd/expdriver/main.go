@@ -59,8 +59,7 @@ func run(args []string, w, werr io.Writer) int {
 		memprofile   = fs.String("memprofile", "", "write a heap profile to this file on exit")
 		mutexprofile = fs.String("mutexprofile", "", "write a mutex-contention profile to this file on exit")
 		blockprofile = fs.String("blockprofile", "", "write a goroutine-blocking profile to this file on exit")
-		tracestats   = fs.Bool("tracestats", false, "print register-trace tier counters (builds, degradations, OSR entries, deopts) and background-compile counters to stderr on exit")
-		asynccompile = fs.Bool("asynccompile", false, "build tier plans on a background pool instead of inline at the promotion point (also: EVOLVEVM_ASYNC_COMPILE)")
+		tracestats   = fs.Bool("tracestats", false, "print register-trace tier counters (builds, degradations, OSR entries, deopts) and plan-install races to stderr on exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -167,9 +166,6 @@ func run(args []string, w, werr io.Writer) int {
 		Workers:  *workers,
 		Session:  sess,
 	}
-	if *asynccompile {
-		opts.Substrate.Compile = exec.CompileAsync
-	}
 	opts.Benchmarks = benchList
 
 	ctx := context.Background()
@@ -249,7 +245,8 @@ func writeLookupProfile(werr io.Writer, name, path string) {
 	}
 }
 
-// printTraceStats reports the process-global register-trace counters.
+// printTraceStats reports the process-global register-trace counters and
+// plan-install races.
 // They go to stderr: experiment output on stdout must stay byte-stable
 // across serial and parallel schedules, and host-side trace activity is
 // schedule-dependent diagnostics, not a virtual observable.
@@ -269,24 +266,7 @@ func printTraceStats(werr io.Writer) {
 	for _, r := range reasons {
 		fmt.Fprintf(werr, "trace tier: degraded %s=%d\n", r, st.Degrade[r])
 	}
-	printCompileStats(werr)
-}
-
-// printCompileStats reports the plan-install race counters and, when a
-// background compilation pool ran, its queue and build-time counters.
-// Stderr like the trace counters: host-side, schedule-dependent
-// diagnostics must never touch the schedule-stable stdout stream.
-func printCompileStats(werr io.Writer) {
 	pi := interp.ReadPlanInstallStats()
 	fmt.Fprintf(werr, "plan installs: lost_plans=%d lost_traces=%d\n",
 		pi.LostPlans, pi.LostTraces)
-	st := exec.CompilePoolStats()
-	if st == nil {
-		fmt.Fprintf(werr, "compile pool: not used\n")
-		return
-	}
-	fmt.Fprintf(werr, "compile pool: enqueued=%d built=%d lost_installs=%d dropped=%d deduped=%d queue_high_water=%d\n",
-		st.Enqueued, st.Built, st.LostInstalls, st.Dropped, st.Deduped, st.QueueHighWater)
-	fmt.Fprintf(werr, "compile pool: trace builds n=%d mean=%dns p50=%dns p99=%dns\n",
-		st.Trace.Count, st.Trace.MeanNs, st.Trace.P50Ns, st.Trace.P99Ns)
 }

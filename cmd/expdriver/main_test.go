@@ -132,13 +132,12 @@ func TestNegativeCountsExit2(t *testing.T) {
 }
 
 // TestTraceStatsReportCompileCountersWithoutDegradations: -tracestats
-// prints the plan-install and compile-pool lines whether or not any
-// trace degraded.
+// prints the plan-install line whether or not any trace degraded.
 func TestTraceStatsReportCompileCountersWithoutDegradations(t *testing.T) {
 	interp.ResetTraceStats()
 	var errOut bytes.Buffer
 	printTraceStats(&errOut)
-	for _, want := range []string{"trace tier: no degradations", "plan installs:", "compile pool:"} {
+	for _, want := range []string{"trace tier: no degradations", "plan installs:"} {
 		if !strings.Contains(errOut.String(), want) {
 			t.Errorf("stderr lacks %q:\n%s", want, errOut.String())
 		}

@@ -332,12 +332,9 @@ const runMid = `
 				}
 				// A sampler tick is the promotion point of the register
 				// tier: re-ask for the trace plan so code that just got
-				// hot (or was recompiled hot in OnSample) starts running
-				// traces without leaving the frame. With a background
-				// compile queue attached the re-ask enqueues instead of
-				// building and keeps returning nil until the plan lands;
-				// either way, host-side only — the virtual stream is
-				// untouched.
+				// hot (or was recompiled hot in OnSample) builds its plan
+				// inline and starts running traces without leaving the
+				// frame. Host-side only — the virtual stream is untouched.
 				if tp == nil && e.Tiers.Ceiling == TierRegister {
 					tp = e.traceTier(code)
 				}

@@ -137,6 +137,15 @@ func RunTier(prog *bytecode.Program, level int, gcCfg gc.Config, maxCycles int64
 // sample profiles — are bit-identical.
 func RunTierConfigured(prog *bytecode.Program, level int, gcCfg gc.Config, maxCycles int64,
 	slots []int, input []bytecode.Value, configure func(*interp.Engine)) (*Exec, error) {
+	return runTierShared(prog, level, gcCfg, maxCycles, slots, input, configure, nil)
+}
+
+// runTierShared is RunTierConfigured compiling through a shared code
+// cache (nil: a private compile), so concurrent runs of one program
+// execute the same Codes and race on their plan slots. Compile charges
+// are unaffected by the cache.
+func runTierShared(prog *bytecode.Program, level int, gcCfg gc.Config, maxCycles int64,
+	slots []int, input []bytecode.Value, configure func(*interp.Engine), shared *jit.Cache) (*Exec, error) {
 
 	eng := interp.NewEngine(prog)
 	if maxCycles > 0 {
@@ -160,6 +169,7 @@ func RunTierConfigured(prog *bytecode.Program, level int, gcCfg gc.Config, maxCy
 	ex := &Exec{Level: level, FnSamples: samples}
 	if level > jit.MinLevel {
 		comp := jit.NewCompiler(prog, jit.DefaultConfig())
+		comp.UseShared(shared)
 		codes, total, err := comp.CompileAll(level)
 		if err != nil {
 			return nil, fmt.Errorf("difftest: compile at O%d failed: %w", level, err)

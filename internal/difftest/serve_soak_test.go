@@ -93,14 +93,14 @@ func TestServeSoakAcrossHostTiers(t *testing.T) {
 	}
 	modes := interp.TierModes()
 	for _, m := range modes {
-		got := serveTrace(t, serveSoakConfig(benches, harness.ScenarioEvolve, exec.ModeSubstrate(m)), tr)
+		got := serveTrace(t, serveSoakConfig(benches, harness.ScenarioEvolve, exec.Substrate{Tiers: m}), tr)
 		if len(got) != len(ref) {
-			t.Fatalf("mode %s: %d outcomes, want %d", m.Name, len(got), len(ref))
+			t.Fatalf("mode %s: %d outcomes, want %d", m, len(got), len(ref))
 		}
 		for i := range ref {
 			if ref[i] != got[i] {
 				t.Fatalf("mode %s: seq %d diverged from the production substrate:\nref: %+v\ngot: %+v",
-					m.Name, ref[i].Seq, ref[i], got[i])
+					m, ref[i].Seq, ref[i], got[i])
 			}
 		}
 	}
@@ -151,17 +151,17 @@ func TestServeSoakMatchesDirectOracle(t *testing.T) {
 	}
 
 	for _, tier := range interp.TierModes() {
-		out := serveTrace(t, serveSoakConfig(benches, harness.ScenarioNull, exec.ModeSubstrate(tier)), tr)
+		out := serveTrace(t, serveSoakConfig(benches, harness.ScenarioNull, exec.Substrate{Tiers: tier}), tr)
 		for i, o := range out {
 			req := tr.Requests[i]
 			if o.Seq != req.Seq {
-				t.Fatalf("tier %s: outcome %d has seq %d, want %d", tier.Name, i, o.Seq, req.Seq)
+				t.Fatalf("tier %s: outcome %d has seq %d, want %d", tier, i, o.Seq, req.Seq)
 			}
 			r := runners[req.Bench]
 			idx := ((req.Input % len(r.Inputs)) + len(r.Inputs)) % len(r.Inputs)
 			want := oracle[oracleKey{req.Bench, idx}]
 			ctx := fmt.Sprintf("tier %s seq %d %s/%s input %s",
-				tier.Name, o.Seq, req.Tenant, req.Bench, r.Inputs[idx].ID)
+				tier, o.Seq, req.Tenant, req.Bench, r.Inputs[idx].ID)
 			wantStatus := traffic.StatusOK
 			if want.Trap != "" {
 				wantStatus = traffic.StatusTrap

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"evolvevm/internal/aos"
-	"evolvevm/internal/bgcompile"
-	"evolvevm/internal/exec"
 	"evolvevm/internal/gc"
 	"evolvevm/internal/interp"
 	"evolvevm/internal/jit"
@@ -15,10 +13,10 @@ import (
 )
 
 // This file proves the host performance layer — every host tier, the
-// register tier's stress paths, background compilation, and the
-// cross-run code cache — is unobservable in virtual terms: every ledger,
-// sample profile, trap, and heap cell is bit-identical under every tier
-// mode.
+// register tier's stress paths, concurrent plan installs on shared code,
+// and the cross-run code cache — is unobservable in virtual terms: every
+// ledger, sample profile, trap, and heap cell is bit-identical under
+// every tier mode.
 //
 // Unlike the cross-tier oracle, these comparisons do NOT skip
 // resource-trapped runs: a cycle-limit trap must fire at the identical
@@ -26,22 +24,32 @@ import (
 // compared bit-for-bit like completed ones.
 
 // substrateModes is the generated host-tier product (interp.TierModes):
-// every ceiling below register, the register ceiling under each valid
-// stress set, and background compilation on the non-eager register
-// modes. "register" leaves traces on their production hotness gates, so
-// it also covers mid-run promotion from the fused switch to the register
-// form. substrateModes[0], the switch ceiling, is every soak's reference.
+// every ceiling below register, and the register ceiling under each
+// valid stress set. "register" leaves traces on their production hotness
+// gates, so it also covers mid-run promotion from the fused switch to
+// the register form. substrateModes[0], the switch ceiling, is every
+// soak's reference.
 var substrateModes = interp.TierModes()
 
-// modeConfig configures an engine for one tier mode. Async modes share
-// the exec layer's process-wide compilation pool, so plans are built by
-// pool workers and CAS-installed mid-run.
-func modeConfig(m interp.TierMode) func(*interp.Engine) {
+// modeConfig configures an engine for one tier mode.
+func modeConfig(m interp.Tiers) func(*interp.Engine) {
+	return func(e *interp.Engine) { e.Tiers = m }
+}
+
+// soakStride is the sample stride of TestSubstrateBitIdentical and
+// TestSubstrateSharedCode, reference and every mode alike. Generated programs run for hundreds to a few
+// thousand cycles, so at the default stride no function collects
+// interp.TraceHotSamples ticks and the non-eager register modes never
+// reach the promotion gate — the only place production builds a trace
+// plan. At this stride about one optimized run in six promotes mid-run,
+// and the windows stay wide enough for the built traces to be entered.
+const soakStride = 400
+
+// soakConfig runs mode at the soak sample stride.
+func soakConfig(mode func(*interp.Engine)) func(*interp.Engine) {
 	return func(e *interp.Engine) {
-		e.Tiers = m.Tiers
-		if m.Async {
-			e.BgCompile = exec.DefaultCompilePool()
-		}
+		e.SampleStride = soakStride
+		mode(e)
 	}
 }
 
@@ -98,9 +106,9 @@ func checkModes(t *testing.T, ctx string, run func(configure func(*interp.Engine
 	for _, mode := range substrateModes[1:] {
 		got, err := run(modeConfig(mode))
 		if err != nil {
-			t.Fatalf("%s mode %s: %v", ctx, mode.Name, err)
+			t.Fatalf("%s mode %s: %v", ctx, mode, err)
 		}
-		execBitIdentical(t, ctx+" mode "+mode.Name, ref, got)
+		execBitIdentical(t, ctx+" mode "+mode.String(), ref, got)
 	}
 	return ref
 }
@@ -108,17 +116,27 @@ func checkModes(t *testing.T, ctx string, run func(configure func(*interp.Engine
 // TestSubstrateBitIdentical runs generated programs at every jit level
 // under every tier mode against the switch ceiling, asserting
 // bit-identical Execs — including runs that trap, resource limits
-// included.
+// included. Runs use the soak stride, and the soak fails if the modes on
+// production hotness gates never built a trace: then it would not have
+// tested mid-run promotion at all.
 func TestSubstrateBitIdentical(t *testing.T) {
 	var checked int
+	built := map[interp.Tiers]int64{}
 	for _, seed := range soakSeeds(int64(soakN(t) / 5)) { // 400 seeds in full mode, 20 under -short
 		g := genFor(seed)
 		for k, input := range g.Inputs {
 			for level := jit.MinLevel; level <= jit.MaxLevel; level++ {
 				checkModes(t, fmt.Sprintf("seed %d input %d level %d", seed, k, level),
 					func(configure func(*interp.Engine)) (*Exec, error) {
-						return RunTierConfigured(g.Prog, level, gc.Config{}, preCap,
-							g.NumericGlobals, input, configure)
+						var tiers interp.Tiers
+						before := interp.ReadTraceStats().Built
+						ex, err := RunTierConfigured(g.Prog, level, gc.Config{}, preCap,
+							g.NumericGlobals, input, soakConfig(func(e *interp.Engine) {
+								configure(e)
+								tiers = e.Tiers
+							}))
+						built[tiers] += interp.ReadTraceStats().Built - before
+						return ex, err
 					})
 				checked++
 			}
@@ -129,39 +147,45 @@ func TestSubstrateBitIdentical(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("substrate soak checked zero runs")
 	}
+	for _, m := range substrateModes {
+		if m.Ceiling != interp.TierRegister || m.Stress&interp.StressEagerReg != 0 {
+			continue
+		}
+		t.Logf("mode %s: %d traces built at the promotion gate", m, built[m])
+		if built[m] == 0 && *seedFlag < 0 {
+			t.Errorf("mode %s built no trace over the soak: promotion was never exercised", m)
+		}
+	}
 }
 
-// TestSubstrateAsyncCompile holds background tier compilation to the
-// bit-identity bar under contention: four submitters race each other on
-// one pool, where in-flight dedup leaves some runs executing in lower
-// tiers the whole way while workers CAS-install trace plans at arbitrary
-// wall-clock moments, and every run must match the serial sync-compile
-// oracle in every observable. (A single async run per level is the
-// product's async modes in TestSubstrateBitIdentical.) At drain, the
-// pool's flow must conserve: every submit accounted as exactly one of
-// built, lost-install, dropped, or deduped.
-func TestSubstrateAsyncCompile(t *testing.T) {
-	pool := bgcompile.NewPool(2, 32)
-	defer pool.Close()
-	async := func(e *interp.Engine) { e.BgCompile = pool }
-
+// TestSubstrateSharedCode races inline trace-plan installs: four engines
+// run one program concurrently on the same compiled Codes (one shared
+// code cache per program), half on the production hotness gates and half
+// under eager-reg, so promotion points race each other's CAS-once
+// installs into the shared plan slots. Every run must match the serial
+// switch-ceiling oracle in every observable; under -race this is the
+// data-race check of the install path.
+func TestSubstrateSharedCode(t *testing.T) {
+	racers := [2]interp.Tiers{{}, {Stress: interp.StressEagerReg}}
+	lost := interp.ReadPlanInstallStats().LostTraces
 	var checked int
 	for _, seed := range soakSeeds(int64(soakN(t) / 10)) { // 200 seeds in full mode, 10 under -short
 		g := genFor(seed)
+		cache := jit.NewCache()
 		for k, input := range g.Inputs {
 			// The top level is where the sampler gate promotes code soonest.
-			run := func(configure func(*interp.Engine)) (*Exec, error) {
-				return RunTierConfigured(g.Prog, jit.MaxLevel, gc.Config{}, preCap,
-					g.NumericGlobals, input, configure)
+			run := func(tiers interp.Tiers, shared *jit.Cache) (*Exec, error) {
+				return runTierShared(g.Prog, jit.MaxLevel, gc.Config{}, preCap,
+					g.NumericGlobals, input, soakConfig(modeConfig(tiers)), shared)
 			}
-			ref, err := run(nil)
+			ref, err := run(substrateModes[0], nil)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 			errc := make(chan error, 4)
 			for w := 0; w < 4; w++ {
 				go func() {
-					got, err := run(async)
+					got, err := run(racers[w%2], cache)
 					if err != nil {
 						errc <- err
 						return
@@ -171,22 +195,16 @@ func TestSubstrateAsyncCompile(t *testing.T) {
 			}
 			for w := 0; w < 4; w++ {
 				if err := <-errc; err != nil {
-					t.Fatalf("seed %d input %d: concurrent async run: %v", seed, k, err)
+					t.Fatalf("seed %d input %d: concurrent shared-code run: %v", seed, k, err)
 				}
 			}
 			checked += 4
 		}
 	}
-	pool.Drain()
-	st := pool.Stats()
-	if got := st.Built + st.LostInstalls + st.Dropped + st.Deduped; got != st.Enqueued {
-		t.Fatalf("pool counters do not conserve: built %d + lost %d + dropped %d + deduped %d = %d, enqueued %d",
-			st.Built, st.LostInstalls, st.Dropped, st.Deduped, got, st.Enqueued)
-	}
-	t.Logf("async compile: %d executions bit-identical vs sync oracle (pool: enqueued=%d built=%d deduped=%d dropped=%d)",
-		checked, st.Enqueued, st.Built, st.Deduped, st.Dropped)
+	t.Logf("shared code: %d concurrent executions bit-identical vs the serial oracle (%d trace installs lost)",
+		checked, interp.ReadPlanInstallStats().LostTraces-lost)
 	if checked == 0 {
-		t.Fatal("async compile soak checked zero runs")
+		t.Fatal("shared-code soak checked zero runs")
 	}
 }
 

@@ -23,12 +23,9 @@ package exec
 import (
 	"context"
 	"fmt"
-	"os"
 	"runtime/pprof"
 	"sync"
-	"sync/atomic"
 
-	"evolvevm/internal/bgcompile"
 	"evolvevm/internal/bytecode"
 	"evolvevm/internal/gc"
 	"evolvevm/internal/interp"
@@ -37,94 +34,14 @@ import (
 )
 
 // Substrate selects the host-performance mechanisms of a run. The zero
-// value is production: every tier, the shared code cache, and the
-// default compile mode. Every setting is host-side only; the determinism
-// suites prove virtual results bit-identical under each one.
+// value is production: every tier and the shared code cache. Every
+// setting is host-side only; the determinism suites prove virtual
+// results bit-identical under each one.
 type Substrate struct {
 	// Tiers is the engine's tier ceiling and stress set (interp.Tiers).
 	interp.Tiers
 	// NoCodeCache skips the shared cross-run code cache.
 	NoCodeCache bool
-	// Compile says where trace plans are built.
-	Compile CompileMode
-}
-
-// CompileMode says where a run builds its trace plans.
-type CompileMode uint8
-
-const (
-	// CompileDefault builds in the background when the run has a compile
-	// queue (RunSpec.Compile) or the EVOLVEVM_ASYNC_COMPILE environment
-	// knob is set, and inline otherwise.
-	CompileDefault CompileMode = iota
-	// CompileSync always builds inline at the promotion point; the
-	// equivalence suites use it to pin the synchronous oracle.
-	CompileSync
-	// CompileAsync always builds on a background compilation pool
-	// (RunSpec.Compile, else DefaultCompilePool), and the engine keeps
-	// executing in its current best tier until the built plan lands.
-	CompileAsync
-)
-
-// asyncCompileEnv caches the EVOLVEVM_ASYNC_COMPILE knob: set non-empty,
-// every run in CompileDefault mode compiles through the background pool.
-var asyncCompileEnv = os.Getenv("EVOLVEVM_ASYNC_COMPILE") != ""
-
-// Async reports whether runs under the substrate build plans in the
-// background without being handed a queue: CompileAsync, or
-// CompileDefault with the EVOLVEVM_ASYNC_COMPILE knob set. Serving uses
-// it to decide whether to attach its own compile pool.
-func (s Substrate) Async() bool {
-	return s.Compile == CompileAsync || (s.Compile == CompileDefault && asyncCompileEnv)
-}
-
-// ModeSubstrate returns the substrate that runs one equivalence-suite
-// tier mode: its tiers, built on the background pool when the mode is
-// async and pinned inline otherwise, so the environment knob cannot
-// change which mode a suite runs.
-func ModeSubstrate(m interp.TierMode) Substrate {
-	sub := Substrate{Tiers: m.Tiers, Compile: CompileSync}
-	if m.Async {
-		sub.Compile = CompileAsync
-	}
-	return sub
-}
-
-// defaultCompilePool is the lazily created process-global background
-// compilation pool used by batch runs (Substrate.Async without an
-// explicit RunSpec.Compile). It lives for the process — batch
-// drivers have no shutdown point, and an idle pool costs a few parked
-// goroutines.
-var (
-	defaultCompilePool atomic.Pointer[bgcompile.Pool]
-	defaultCompileMu   sync.Mutex
-)
-
-// DefaultCompilePool returns the process-global compilation pool,
-// creating it (default workers and depth) on first use.
-func DefaultCompilePool() *bgcompile.Pool {
-	if p := defaultCompilePool.Load(); p != nil {
-		return p
-	}
-	defaultCompileMu.Lock()
-	defer defaultCompileMu.Unlock()
-	if p := defaultCompilePool.Load(); p != nil {
-		return p
-	}
-	p := bgcompile.NewPool(0, 0)
-	defaultCompilePool.Store(p)
-	return p
-}
-
-// CompilePoolStats snapshots the process-global pool's counters, or nil
-// when no batch run ever created it (diagnostics: expdriver -tracestats).
-func CompilePoolStats() *bgcompile.Stats {
-	p := defaultCompilePool.Load()
-	if p == nil {
-		return nil
-	}
-	st := p.Stats()
-	return &st
 }
 
 // ProfileLabels, when enabled, wraps every run in a runtime/pprof label
@@ -147,12 +64,6 @@ type RunSpec struct {
 	// run reuse host-side compilation work across runs. Virtual compile
 	// charges are unaffected.
 	SharedCode *jit.Cache
-
-	// Compile, when non-nil, is the background compilation queue for this
-	// run's plan builds (the serving front end passes its per-server
-	// pool). Ignored under CompileSync; when nil, Substrate.Async falls
-	// back to DefaultCompilePool.
-	Compile interp.CompileQueue
 
 	// Controller builds the run's optimization controller once the machine
 	// exists (repository controllers need the compiler's cost model). A
@@ -247,13 +158,6 @@ func RunInto(ctx context.Context, spec *RunSpec, out *RunOutcome) error {
 	m.SetContext(ctx)
 	m.Engine.GC = spec.GC
 	m.Engine.Tiers = spec.Substrate.Tiers
-	if spec.Substrate.Compile != CompileSync {
-		if spec.Compile != nil {
-			m.Engine.BgCompile = spec.Compile
-		} else if spec.Substrate.Async() {
-			m.Engine.BgCompile = DefaultCompilePool()
-		}
-	}
 	if !spec.Substrate.NoCodeCache && spec.SharedCode != nil {
 		m.Compiler.UseShared(spec.SharedCode)
 	}

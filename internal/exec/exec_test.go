@@ -191,12 +191,11 @@ func TestSubstrateTogglesBitIdentical(t *testing.T) {
 }
 
 // TestZeroSubstrateIsProduction: the zero Substrate is the production
-// configuration — the register ceiling, no stress, the shared code
-// cache, and the default compile mode — and a run under it leaves the
-// engine at the same tiers.
+// configuration — the register ceiling, no stress, and the shared code
+// cache — and a run under it leaves the engine at the same tiers.
 func TestZeroSubstrateIsProduction(t *testing.T) {
 	var sub Substrate
-	if sub.Ceiling != interp.TierRegister || sub.Stress != 0 || sub.NoCodeCache || sub.Compile != CompileDefault {
+	if sub.Ceiling != interp.TierRegister || sub.Stress != 0 || sub.NoCodeCache {
 		t.Fatalf("zero substrate %+v is not production", sub)
 	}
 	spec := loopSpec(t, 100)

@@ -115,28 +115,6 @@ func BaselineCacheStats() jit.CacheStats {
 	return baselineCache.stats()
 }
 
-// WarmCompiledPlans sweeps the process-wide code cache and enqueues
-// background builds for every cached form that has earned a trace plan
-// (by level and sampler count) but does not yet carry it in the given
-// inline mode, returning the number of jobs submitted. The serving front
-// end calls this at epoch barriers so cold tenants inherit compiled
-// plans along with the published learned state; plans build without a
-// code table, so call-inlining trace builds are deferred to the first
-// executing engine (see interp.Code.WarmJob).
-func WarmCompiledPlans(q interp.CompileQueue, inline bool) int {
-	if q == nil {
-		return 0
-	}
-	n := 0
-	codeCache.Range(func(code *interp.Code) {
-		if job, ok := code.WarmJob(inline, nil); ok {
-			q.Submit(job)
-			n++
-		}
-	})
-	return n
-}
-
 // Scenario selects the optimization controller for a run.
 type Scenario int
 
@@ -233,12 +211,6 @@ type Runner struct {
 	// run, exactly like exec.RunSpec.Inspect. The serving front end uses
 	// it to cross-check the cycle ledger on every request.
 	Inspect func(m *vm.Machine)
-
-	// Compile, when non-nil, is the background compilation queue for
-	// every run's plan builds, exactly like exec.RunSpec.Compile. The
-	// serving front end sets its per-server pool here on the prototype
-	// runner; Fork's struct copy carries it to every tenant chain.
-	Compile interp.CompileQueue
 }
 
 // NewRunner builds a runner with a deterministic input corpus of the
@@ -338,7 +310,6 @@ func (r *Runner) spec(in programs.Input) *exec.RunSpec {
 		GC:         r.GC,
 		Substrate:  r.Substrate,
 		SharedCode: codeCache,
-		Compile:    r.Compile,
 		Setup:      in.Setup,
 		Inspect:    r.Inspect,
 	}

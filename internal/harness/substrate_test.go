@@ -64,8 +64,7 @@ func sameRunResult(t *testing.T, ctx string, ref, got *RunResult) {
 // TestSubstrateBenchmarksBitIdentical runs every benchmark of the suite
 // (plus the GC-selection extension) through Default, Rep, and Evolve
 // sequences in every tier mode — every ceiling, every valid stress set,
-// background compilation, hotness-promoted traces, and the cross-run
-// code cache — and asserts the recorded RunResults are identical field
+// hotness-promoted traces, and the cross-run code cache — and asserts the recorded RunResults are identical field
 // for field to the uncached switch-ceiling reference. This is the harness-level counterpart
 // of the difftest substrate soak: it covers the real benchmark programs,
 // cross-run learning state, and the speedup bookkeeping.
@@ -80,18 +79,17 @@ func TestSubstrateBenchmarksBitIdentical(t *testing.T) {
 	)
 	// The reference is the switch ceiling without the cross-run code
 	// cache; every generated tier mode runs with it.
-	refSub := exec.Substrate{Tiers: interp.Tiers{Ceiling: interp.TierSwitch},
-		NoCodeCache: true, Compile: exec.CompileSync}
+	refSub := exec.Substrate{Tiers: interp.Tiers{Ceiling: interp.TierSwitch}, NoCodeCache: true}
 	for _, b := range benches {
 		for _, scenario := range scenarios {
 			ref := runVariant(t, b, scenario, "switch+nocache", refSub, corpus, runs, seed)
 			for _, m := range interp.TierModes() {
-				got := runVariant(t, b, scenario, m.Name, exec.ModeSubstrate(m), corpus, runs, seed)
+				got := runVariant(t, b, scenario, m.String(), exec.Substrate{Tiers: m}, corpus, runs, seed)
 				if len(got) != len(ref) {
-					t.Fatalf("%s under %s (%s): %d results vs %d", b.Name, scenario, m.Name, len(got), len(ref))
+					t.Fatalf("%s under %s (%s): %d results vs %d", b.Name, scenario, m, len(got), len(ref))
 				}
 				for i := range ref {
-					ctx := b.Name + " under " + scenario.String() + " (" + m.Name + ") run " + ref[i].InputID
+					ctx := b.Name + " under " + scenario.String() + " (" + m.String() + ") run " + ref[i].InputID
 					sameRunResult(t, ctx, ref[i], got[i])
 				}
 			}

@@ -69,13 +69,6 @@ type Code struct {
 	// triggers the register tier. Host-side only: the count never feeds
 	// back into any virtual observable.
 	samples atomic.Int64
-
-	// pending is the in-flight background-compile bitmask (one bit per
-	// CompileKind × mode, see pendingBit in compile.go). While a bit is
-	// held, engines sharing the Code skip re-enqueueing that build, so
-	// the hot path touches the compile queue at most once per missing
-	// plan.
-	pending atomic.Uint32
 }
 
 // TraceHotSamples is the sampler-tick threshold after which an optimized

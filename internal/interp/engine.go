@@ -91,16 +91,6 @@ type Engine struct {
 	// under every setting (tiers.go).
 	Tiers Tiers
 
-	// BgCompile, when set, receives trace-plan builds as background jobs
-	// instead of the engine building them inline at the promotion point:
-	// the engine enqueues once per missing plan (gated by the Code's
-	// in-flight bit) and keeps executing in its current best tier until
-	// the built plan appears in the slot. Host-side only — which tier
-	// runs an iteration is never a virtual observable, so wall-clock-racy
-	// installs cannot perturb results (DESIGN.md §15). StressEagerReg
-	// always builds inline regardless.
-	BgCompile CompileQueue
-
 	// PeekCode reports the code the engine's current Provider would
 	// return for fnIdx WITHOUT side effects — nil when the function has
 	// no current code form yet (never invoked). The trace tier uses it to
@@ -393,7 +383,6 @@ func (e *Engine) Reset() {
 	e.MaxHeapCells = DefaultMaxHeapCells
 	e.Interrupt = nil
 	e.Tiers = Tiers{}
-	e.BgCompile = nil
 	clear(e.Globals)
 	e.Output = e.Output[:0]
 	e.Cycles = 0

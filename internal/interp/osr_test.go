@@ -89,19 +89,15 @@ func snapIdentical(t *testing.T, ctx string, ref, got *engineSnap) {
 }
 
 // checkTraceLadder checks a golden program under every tier mode against
-// the switch-ceiling reference. The async modes are skipped: these
-// engines run baseline code, which never passes the promotion gate that
-// enqueues a background build, so each would repeat its sync twin.
+// the switch-ceiling reference.
 func checkTraceLadder(t *testing.T, src string, globals map[string]bytecode.Value) {
 	t.Helper()
 	p := mustProg(t, src)
 	modes := TierModes()
-	ref := snapRun(t, p, globals, func(e *Engine) { e.Tiers = modes[0].Tiers })
+	ref := snapRun(t, p, globals, func(e *Engine) { e.Tiers = modes[0] })
 	for _, m := range modes[1:] {
-		if !m.Async {
-			got := snapRun(t, p, globals, func(e *Engine) { e.Tiers = m.Tiers })
-			snapIdentical(t, m.Name, ref, got)
-		}
+		got := snapRun(t, p, globals, func(e *Engine) { e.Tiers = m })
+		snapIdentical(t, m.String(), ref, got)
 	}
 }
 

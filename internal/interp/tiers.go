@@ -87,38 +87,23 @@ func (t Tiers) String() string {
 	return t.Ceiling.String() + "+" + t.Stress.String()
 }
 
-// TierMode is one host configuration the equivalence suites hold to bit
-// identity: a Tiers value, and whether trace plans are built on a
-// background compile queue instead of inline at the promotion point.
-type TierMode struct {
-	Name  string
-	Tiers Tiers
-	Async bool
-}
-
 // TierModes returns the host configurations every equivalence suite
-// runs, derived rather than listed: each ceiling below register once
-// (the stress set only steers the register tier); the register ceiling
-// under every stress subset in which eager-osr and forced-deopt come
-// with eager-reg (without it their paths are reached only by loops that
-// pass the hotness gates); and background compilation on the register
-// modes without eager-reg (eager modes build inline, since they need the
-// plan before the first instruction). The first mode is the switch
-// ceiling, the suites' reference.
-func TierModes() []TierMode {
-	var modes []TierMode
+// holds to bit identity, derived rather than listed: each ceiling below
+// register once (the stress set only steers the register tier), and the
+// register ceiling under every stress subset in which eager-osr and
+// forced-deopt come with eager-reg (without it their paths are reached
+// only by loops that pass the hotness gates). A mode's name is its
+// String. The first mode is the switch ceiling, the suites' reference.
+func TierModes() []Tiers {
+	var modes []Tiers
 	for c := TierSwitch; c < TierRegister; c++ {
-		modes = append(modes, TierMode{Name: c.String(), Tiers: Tiers{Ceiling: c}})
+		modes = append(modes, Tiers{Ceiling: c})
 	}
 	for s := Stress(0); s <= stressAll; s++ {
 		if s&(StressEagerOSR|StressDeopt) != 0 && s&StressEagerReg == 0 {
 			continue
 		}
-		t := Tiers{Stress: s}
-		modes = append(modes, TierMode{Name: t.String(), Tiers: t})
-		if s&StressEagerReg == 0 {
-			modes = append(modes, TierMode{Name: t.String() + "+async", Tiers: t, Async: true})
-		}
+		modes = append(modes, Tiers{Stress: s})
 	}
 	return modes
 }

@@ -7,10 +7,9 @@ import (
 )
 
 // TestTierModesProduct pins the generated equivalence-suite modes to the
-// product they are derived from: each ceiling below register once, the
-// register ceiling under every stress subset in which eager-osr and
-// forced-deopt come with eager-reg, and async compile on the register
-// modes without eager-reg — no mode twice.
+// product they are derived from: each ceiling below register once, and
+// the register ceiling under every stress subset in which eager-osr and
+// forced-deopt come with eager-reg — no mode or name twice.
 func TestTierModesProduct(t *testing.T) {
 	const (
 		reg    = StressEagerReg
@@ -18,59 +17,53 @@ func TestTierModesProduct(t *testing.T) {
 		deopt  = StressDeopt
 		inline = StressNoInline
 	)
-	want := []TierMode{
-		{"switch", Tiers{Ceiling: TierSwitch}, false},
-		{"batched", Tiers{Ceiling: TierBatched}, false},
-		{"fused", Tiers{Ceiling: TierFused}, false},
-		{"register", Tiers{}, false},
-		{"register+async", Tiers{}, true},
-		{"register+eager-reg", Tiers{Stress: reg}, false},
-		{"register+eager-reg+eager-osr", Tiers{Stress: reg | osr}, false},
-		{"register+eager-reg+forced-deopt", Tiers{Stress: reg | deopt}, false},
-		{"register+eager-reg+eager-osr+forced-deopt", Tiers{Stress: reg | osr | deopt}, false},
-		{"register+no-inline", Tiers{Stress: inline}, false},
-		{"register+no-inline+async", Tiers{Stress: inline}, true},
-		{"register+eager-reg+no-inline", Tiers{Stress: reg | inline}, false},
-		{"register+eager-reg+eager-osr+no-inline", Tiers{Stress: reg | osr | inline}, false},
-		{"register+eager-reg+forced-deopt+no-inline", Tiers{Stress: reg | deopt | inline}, false},
-		{"register+eager-reg+eager-osr+forced-deopt+no-inline", Tiers{Stress: reg | osr | deopt | inline}, false},
+	want := []struct {
+		name  string
+		tiers Tiers
+	}{
+		{"switch", Tiers{Ceiling: TierSwitch}},
+		{"batched", Tiers{Ceiling: TierBatched}},
+		{"fused", Tiers{Ceiling: TierFused}},
+		{"register", Tiers{}},
+		{"register+eager-reg", Tiers{Stress: reg}},
+		{"register+eager-reg+eager-osr", Tiers{Stress: reg | osr}},
+		{"register+eager-reg+forced-deopt", Tiers{Stress: reg | deopt}},
+		{"register+eager-reg+eager-osr+forced-deopt", Tiers{Stress: reg | osr | deopt}},
+		{"register+no-inline", Tiers{Stress: inline}},
+		{"register+eager-reg+no-inline", Tiers{Stress: reg | inline}},
+		{"register+eager-reg+eager-osr+no-inline", Tiers{Stress: reg | osr | inline}},
+		{"register+eager-reg+forced-deopt+no-inline", Tiers{Stress: reg | deopt | inline}},
+		{"register+eager-reg+eager-osr+forced-deopt+no-inline", Tiers{Stress: reg | osr | deopt | inline}},
 	}
 	got := TierModes()
 	if len(got) != len(want) {
 		t.Fatalf("%d modes, want %d: %v", len(got), len(want), got)
 	}
 	names := map[string]bool{}
-	configs := map[TierMode]bool{}
+	configs := map[Tiers]bool{}
 	for i, m := range got {
-		if m != want[i] {
-			t.Errorf("mode %d = %+v, want %+v", i, m, want[i])
+		if m != want[i].tiers || m.String() != want[i].name {
+			t.Errorf("mode %d = %q %+v, want %q %+v", i, m, m, want[i].name, want[i].tiers)
 		}
-		key := TierMode{Tiers: m.Tiers, Async: m.Async}
-		if names[m.Name] || configs[key] {
-			t.Errorf("mode %q appears twice", m.Name)
+		if names[m.String()] || configs[m] {
+			t.Errorf("mode %q appears twice", m)
 		}
-		names[m.Name], configs[key] = true, true
+		names[m.String()], configs[m] = true, true
 	}
 }
 
-// buildQueue builds each job as it is submitted.
-type buildQueue struct{}
-
-func (buildQueue) Submit(j CompileJob) { j.Build() }
-
 // TestZeroTiersIsProduction: a new engine, and one Reset after running
-// under every stress member at the lowest ceiling with a compile queue,
-// is at the register ceiling with an empty stress set and no queue.
+// under every stress member at the lowest ceiling, is at the register
+// ceiling with an empty stress set.
 func TestZeroTiersIsProduction(t *testing.T) {
 	if (Tiers{}).Ceiling != TierRegister || (Tiers{}).Stress != 0 {
 		t.Fatal("zero Tiers is not the register ceiling with no stress")
 	}
 	e := NewEngine(mustProg(t, callLoopSrc))
-	if e.Tiers != (Tiers{}) || e.BgCompile != nil {
-		t.Fatalf("new engine tiers %v queue %v, want production", e.Tiers, e.BgCompile)
+	if e.Tiers != (Tiers{}) {
+		t.Fatalf("new engine tiers %v, want production", e.Tiers)
 	}
 	e.Tiers = Tiers{Ceiling: TierSwitch, Stress: stressAll}
-	e.BgCompile = buildQueue{}
 	if err := e.SetGlobal("n", bytecode.Int(10)); err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +71,8 @@ func TestZeroTiersIsProduction(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Reset()
-	if e.Tiers != (Tiers{}) || e.BgCompile != nil {
-		t.Fatalf("reset engine tiers %v queue %v, want production", e.Tiers, e.BgCompile)
+	if e.Tiers != (Tiers{}) {
+		t.Fatalf("reset engine tiers %v, want production", e.Tiers)
 	}
 }
 

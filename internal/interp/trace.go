@@ -178,6 +178,32 @@ func (tp *tracePlan) noteMissing(fns []int32) {
 	}
 }
 
+// traceHot reports whether the code has earned register conversion.
+func (e *Engine) traceHot(code *Code) bool {
+	return e.Tiers.Stress&StressEagerReg != 0 || (code.Level >= 0 && code.samples.Load() >= TraceHotSamples)
+}
+
+// traceTier returns the register trace plan code should run under, or
+// nil, building it inline at the promotion point once the code is hot. A
+// built plan whose provisional inline refusals could now succeed (retry)
+// is rebuilt in place.
+func (e *Engine) traceTier(code *Code) *tracePlan {
+	inline := e.Tiers.Stress&StressNoInline == 0
+	slot := 0
+	if inline {
+		slot = 1
+	}
+	if p := code.traces[slot].Load(); p != nil {
+		if !p.retry(e.PeekCode) {
+			return p
+		}
+	} else if !e.traceHot(code) {
+		return nil
+	}
+	code.installTracePlan(inline, e.PeekCode)
+	return code.traces[slot].Load()
+}
+
 // deoptState is the side channel through which runTrace asks the engine
 // loop to materialize an inlined callee as a real interpreter frame: at
 // its entry (entry=true, after the invocation hook charged cycles that
@@ -652,4 +678,30 @@ func (e *Engine) traceTrap(tr *trace, sc *runScratch, x int32, stack []bytecode.
 	}
 	sc.tc.traps++
 	return stack, 0, t.tpc, msg
+}
+
+// compileStats counts plan-install CAS races lost process-wide: a loser
+// paid for a full build whose result was discarded. Nonzero values are
+// expected under concurrent engines sharing Codes; the counters exist so
+// "how much build work is wasted" is measurable rather than folklore.
+var compileStats struct {
+	lostPlans  atomic.Int64
+	lostTraces atomic.Int64
+}
+
+// PlanInstallStats is a point-in-time snapshot of the plan-install race
+// counters (host-side diagnostics, never a virtual observable).
+type PlanInstallStats struct {
+	// Lost* count CompareAndSwap installs that found the slot already
+	// filled by a concurrent builder, per plan form.
+	LostPlans  int64 `json:"lost_plans"`
+	LostTraces int64 `json:"lost_traces"`
+}
+
+// ReadPlanInstallStats snapshots the process-global install-race counters.
+func ReadPlanInstallStats() PlanInstallStats {
+	return PlanInstallStats{
+		LostPlans:  compileStats.lostPlans.Load(),
+		LostTraces: compileStats.lostTraces.Load(),
+	}
 }

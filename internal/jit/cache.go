@@ -1,9 +1,6 @@
 package jit
 
-import (
-	"evolvevm/internal/interp"
-	"evolvevm/internal/stripe"
-)
+import "evolvevm/internal/stripe"
 
 // CacheKey identifies one compiled code form across runs: the content
 // fingerprint of the program the function lives in (optimization of a
@@ -83,15 +80,6 @@ func (c *Cache) Stats() CacheStats {
 		Entries:   st.Entries,
 		Capacity:  st.Capacity,
 	}
-}
-
-// Range calls fn for every cached compiled form's Code, under the
-// striped cache's per-shard read locks (see stripe.Cache.Range for the
-// reentrancy rules). The serving front end sweeps the shared cache at
-// epoch barriers to pre-warm host execution plans for hot forms; Codes
-// are immutable, so fn may hand them to background builders freely.
-func (c *Cache) Range(fn func(code *interp.Code)) {
-	c.c.Range(func(_ CacheKey, v *compiled) { fn(v.code) })
 }
 
 // sharedGet consults the shared cache for the compiler's program.

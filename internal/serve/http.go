@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -16,9 +18,9 @@ type RunRequestBody struct {
 	Tenant string `json:"tenant"`
 	Bench  string `json:"bench"`
 	Input  int    `json:"input"`
-	// DeadlineMillis bounds wall-clock service time (0 = none). An
-	// expired deadline aborts the run at a sample boundary and answers
-	// 504 without committing any learner state.
+	// DeadlineMillis bounds wall-clock service time (0 = none; negative
+	// is a bad request). An expired deadline aborts the run at a sample
+	// boundary and answers 504 without committing any learner state.
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
 	// Wait opts into backpressure: block for a queue slot instead of
 	// taking 429 when the queue is full.
@@ -36,7 +38,10 @@ type errorBody struct {
 //	GET  /v1/stats — Stats snapshot
 //	GET  /healthz  — liveness (503 while draining)
 //
-// Admission maps to status codes: queue full and tenant cap are 429 with
+// A body that does not decode as exactly one RunRequestBody (unknown
+// fields included), a negative deadline, or an unknown tenant or
+// benchmark is 400. Admission maps to status codes: queue full and
+// tenant cap are 429 with
 // a Retry-After hint, draining is 503, an expired request deadline is
 // 504 (the Response body still carries the canceled status), a trap is
 // 200 — a program fault is a legitimate, fully attributed outcome, not a
@@ -66,18 +71,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
 		return
 	}
-	var body RunRequestBody
-	if err := readJSON(r.Body, &body); err != nil {
+	body, err := readRunBody(r.Body)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
-		return
-	}
-	if body.Tenant == "" || s.protos[body.Bench] == nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "unknown tenant or benchmark"})
 		return
 	}
 	deadline := time.Duration(body.DeadlineMillis) * time.Millisecond
 	var resp *Response
-	var err error
 	if body.Wait {
 		resp, err = s.Submit(r.Context(), body.Tenant, body.Bench, body.Input, deadline)
 	} else {
@@ -85,6 +85,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case err == nil:
+	case errors.Is(err, ErrBadRequest):
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		return
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrTenantBusy):
 		w.Header().Set("Retry-After", s.retryAfter())
 		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
@@ -124,14 +127,40 @@ const maxRequestBody = 1 << 20
 // chunked-transfer state machine) per request.
 var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// readJSON decodes one JSON value from r through a pooled buffer.
-func readJSON(r io.Reader, v any) error {
+// readRunBody reads one POST /v1/run body from r through a pooled
+// buffer and decodes it (decodeRunBody).
+func readRunBody(r io.Reader) (RunRequestBody, error) {
 	buf := bufPool.Get().(*bytes.Buffer)
 	defer putBuf(buf)
 	if _, err := buf.ReadFrom(io.LimitReader(r, maxRequestBody)); err != nil {
-		return err
+		return RunRequestBody{}, err
 	}
-	return json.Unmarshal(buf.Bytes(), v)
+	return decodeRunBody(buf.Bytes())
+}
+
+// maxDeadlineMillis is the largest deadline_ms whose time.Duration does
+// not overflow.
+const maxDeadlineMillis = math.MaxInt64 / int64(time.Millisecond)
+
+// decodeRunBody decodes exactly one RunRequestBody JSON object. Invalid
+// input fails instead of running with a silently changed meaning: a
+// field the body does not have (a typo such as "deadline_millis" would
+// otherwise run with no deadline), trailing data, and a deadline_ms that
+// is negative or overflows a time.Duration are errors.
+func decodeRunBody(data []byte) (RunRequestBody, error) {
+	var body RunRequestBody
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&body); err != nil {
+		return RunRequestBody{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return RunRequestBody{}, errors.New("trailing data after the body")
+	}
+	if body.DeadlineMillis < 0 || body.DeadlineMillis > maxDeadlineMillis {
+		return RunRequestBody{}, fmt.Errorf("deadline_ms %d out of range [0, %d]", body.DeadlineMillis, maxDeadlineMillis)
+	}
+	return body, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -51,7 +51,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"evolvevm/internal/bgcompile"
 	"evolvevm/internal/bytecode"
 	"evolvevm/internal/exec"
 	"evolvevm/internal/harness"
@@ -63,9 +62,11 @@ import (
 	"evolvevm/internal/vm"
 )
 
-// Admission and lifecycle errors. The HTTP layer maps the first two to
-// 429 with a Retry-After hint and ErrClosed to 503.
+// Admission and lifecycle errors. The HTTP layer maps ErrBadRequest to
+// 400, the next two to 429 with a Retry-After hint, and ErrClosed to
+// 503.
 var (
+	ErrBadRequest = errors.New("serve: bad request")
 	ErrQueueFull  = errors.New("serve: request queue full")
 	ErrTenantBusy = errors.New("serve: tenant in-flight cap reached")
 	ErrClosed     = errors.New("serve: server is draining")
@@ -272,12 +273,6 @@ type Server struct {
 	pool *sched.Chains
 	sess *session.Session
 
-	// compile is the background tier-compilation pool shared by every
-	// chain's runs (nil: plans build inline at the promotion point).
-	// Created when the substrate enables async compile; drained and
-	// closed after the execution pool on shutdown.
-	compile *bgcompile.Pool
-
 	// mu is the admission lock: it orders sequence-number assignment,
 	// admission accounting, epoch-barrier enqueueing, and (live) pool
 	// submission, making pool queue order equal seq order — the
@@ -363,16 +358,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.protos[name] = r
 	}
-	if cfg.Substrate.Async() {
-		// One pool per server, shared by every tenant chain: Fork copies
-		// the prototype's Compile reference, so every run the server
-		// executes enqueues its plan builds here instead of stalling a
-		// request on inline compilation.
-		s.compile = bgcompile.NewPool(0, 0)
-		for _, r := range s.protos {
-			r.Compile = s.compile
-		}
-	}
 	if cfg.Record {
 		s.trace = &traffic.Trace{Version: traffic.TraceVersion}
 	}
@@ -381,7 +366,9 @@ func New(cfg Config) (*Server, error) {
 
 // Submit executes one live request, blocking for a queue slot under
 // backpressure and for the response. A per-tenant cap rejects rather
-// than blocks (a capped tenant should back off, not pile up).
+// than blocks (a capped tenant should back off, not pile up). An empty
+// tenant, an unknown benchmark, or a negative deadline is ErrBadRequest
+// (a zero deadline means none).
 func (s *Server) Submit(ctx context.Context, tenant, bench string, input int, deadline time.Duration) (*Response, error) {
 	return s.submitLive(ctx, tenant, bench, input, deadline, true)
 }
@@ -395,7 +382,10 @@ func (s *Server) TrySubmit(ctx context.Context, tenant, bench string, input int,
 
 func (s *Server) submitLive(ctx context.Context, tenant, bench string, input int, deadline time.Duration, wait bool) (*Response, error) {
 	if tenant == "" || s.protos[bench] == nil {
-		return nil, fmt.Errorf("serve: bad request: tenant %q bench %q", tenant, bench)
+		return nil, fmt.Errorf("%w: tenant %q bench %q", ErrBadRequest, tenant, bench)
+	}
+	if deadline < 0 {
+		return nil, fmt.Errorf("%w: negative deadline %v", ErrBadRequest, deadline)
 	}
 	deadlineMicros := deadline.Microseconds()
 	if deadline > 0 && deadlineMicros == 0 {
@@ -794,14 +784,6 @@ func (s *Server) chain(req traffic.Request) *chain {
 // encodes nothing; a chain whose state cannot be captured (Capture fails
 // where a checkpoint would) leaves the benchmark's previous entry.
 func (s *Server) publish() {
-	// Pre-warm host execution plans for every hot cached form, so cold
-	// tenants inherit compiled code along with the learned state below.
-	// Plans are host-side and process-shared through the code cache, so
-	// this runs even in Isolated mode — it cannot leak virtual state
-	// between tenants, only wall-clock warmth.
-	if s.compile != nil {
-		harness.WarmCompiledPlans(s.compile, s.cfg.Substrate.Stress&interp.StressNoInline == 0)
-	}
 	if s.cfg.Isolated {
 		return
 	}
@@ -898,12 +880,6 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	s.Drain()
 	s.pool.Close()
-	// The compile pool closes after the execution pool: with no run left
-	// to submit builds, Close drains the queued jobs gracefully — plans
-	// land in the process-shared code cache for the next server.
-	if s.compile != nil {
-		s.compile.Close()
-	}
 }
 
 // checksum folds a response's virtual observables into one value. Wall
@@ -1006,10 +982,6 @@ type Stats struct {
 	// host-side diagnostics only, never a virtual observable.
 	Trace interp.TraceStats `json:"trace"`
 
-	// Compile reports the background compilation pool — queue depth and
-	// high water, enqueued/built/dropped/deduped counts, per-kind
-	// build-time quantiles. Nil when the server compiles synchronously.
-	Compile *bgcompile.Stats `json:"compile,omitempty"`
 	// PlanInstall counts plan-install CAS races lost process-wide
 	// (build work paid for a plan another builder landed first).
 	PlanInstall interp.PlanInstallStats `json:"plan_install"`
@@ -1044,10 +1016,6 @@ func (s *Server) StatsNow() Stats {
 	st.WallP99 = wall.Quantile(0.99)
 	st.Trace = interp.ReadTraceStats()
 	st.PlanInstall = interp.ReadPlanInstallStats()
-	if s.compile != nil {
-		cst := s.compile.Stats()
-		st.Compile = &cst
-	}
 	return st
 }
 
